@@ -8,12 +8,13 @@ a parametric surrogate with in/out-of-range evaluation, and wall-clock
 cost accounting with break-even analysis.
 """
 
+__version__ = "0.1.0"
+
 from .ann import (
     MlpModel,
     TrainConfig,
     TrainReport,
     check_gradients,
-    forward,
     gradients,
     init_mlp,
     loss_sse,
@@ -27,8 +28,8 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import TridiagonalSystem, matmul, pseudoinverse, solve_tridiagonal
-from .pde import PoissonProblem, SolutionField, solve_analytic, solve_fdm, sweep_analytic
+from .linalg import TridiagonalSystem, pseudoinverse, solve_tridiagonal
+from .pde import PoissonProblem, SolutionField, solve_analytic, solve_fdm
 from .regress import (
     LinearModel,
     RegressionDataset,
@@ -46,8 +47,6 @@ from .surrogate import (
     split_dataset,
     train_surrogate,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CostLedger",
@@ -73,20 +72,17 @@ __all__ = [
     "check_gradients",
     "evaluate",
     "fit_least_squares",
-    "forward",
     "generate_dataset",
     "generate_synthetic",
     "gradients",
     "init_mlp",
     "loss_sse",
-    "matmul",
     "measure",
     "pseudoinverse",
     "solve_analytic",
     "solve_fdm",
     "solve_tridiagonal",
     "split_dataset",
-    "sweep_analytic",
     "total_time",
     "train_steepest_descent",
     "train_surrogate",

@@ -80,8 +80,8 @@ class MlpModel:
                 raise ShapeError(f"layer {k} weights must be {want}, got {self.weights[k].shape}")
             if self.biases[k].shape != (self.layer_sizes[k + 1],):
                 raise ShapeError(f"layer {k} bias must be ({self.layer_sizes[k+1]},)")
-        for tag in self.transfers:
-            resolve_transfer(tag)
+        # Resolved once here so no forward pass looks tags up per layer.
+        self._transfer_fns = tuple(resolve_transfer(tag) for tag in self.transfers)
 
     @property
     def n_layers(self) -> int:
@@ -187,20 +187,10 @@ def _as_batch(arr, width: int, name: str) -> np.ndarray:
     return a
 
 
-def forward(model: MlpModel, x) -> np.ndarray:
-    """Single-sample forward pass; returns a vector of output-layer size."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != model.layer_sizes[0]:
-        raise ShapeError(f"input length {x.shape[0]} != {model.layer_sizes[0]}")
-    return predict_batch(model, x[None, :])[0]
-
-
 def predict_batch(model: MlpModel, inputs) -> np.ndarray:
     """Forward pass over rows of inputs; returns (n_samples, n_out)."""
-    a = _as_batch(inputs, model.layer_sizes[0], "inputs")
-    for w, b, tag in zip(model.weights, model.biases, model.transfers):
-        a = resolve_transfer(tag).apply(a @ w.T + b)
-    return a
+    a0 = _as_batch(inputs, model.layer_sizes[0], "inputs")
+    return _forward_trace(model, a0)[0][-1]
 
 
 def _forward_trace(model: MlpModel, a0: np.ndarray):
@@ -208,21 +198,27 @@ def _forward_trace(model: MlpModel, a0: np.ndarray):
     activations = [a0]
     sums = []
     a = a0
-    for w, b, tag in zip(model.weights, model.biases, model.transfers):
+    for w, b, transfer in zip(model.weights, model.biases, model._transfer_fns):
         z = a @ w.T + b
         sums.append(z)
-        a = resolve_transfer(tag).apply(z)
+        a = transfer.apply(z)
         activations.append(a)
     return activations, sums
 
 
+def _as_pair(model: MlpModel, inputs, targets) -> tuple:
+    x = _as_batch(inputs, model.layer_sizes[0], "inputs")
+    y = _as_batch(targets, model.layer_sizes[-1], "targets")
+    if y.shape[0] != x.shape[0]:
+        raise ShapeError("inputs and targets must have the same number of rows")
+    return x, y
+
+
 def loss_sse(model: MlpModel, inputs, targets) -> float:
     """Sum of squared errors over all samples and output components."""
-    y = _as_batch(targets, model.layer_sizes[-1], "targets")
-    out = predict_batch(model, inputs)
-    if y.shape[0] != out.shape[0]:
-        raise ShapeError("inputs and targets must have the same number of rows")
-    e = y - out
+    x, y = _as_pair(model, inputs, targets)
+    activations, _ = _forward_trace(model, x)
+    e = y - activations[-1]
     return float(np.sum(e * e))
 
 
@@ -232,21 +228,22 @@ def gradients(model: MlpModel, inputs, targets) -> list:
     For a single linear neuron this is exactly (-2 e^T x, -2 e^T 1);
     deeper layers chain the output error backwards through f'.
     """
-    a0 = _as_batch(inputs, model.layer_sizes[0], "inputs")
-    y = _as_batch(targets, model.layer_sizes[-1], "targets")
-    if y.shape[0] != a0.shape[0]:
-        raise ShapeError("inputs and targets must have the same number of rows")
-    activations, sums = _forward_trace(model, a0)
+    return _loss_and_gradients(model, inputs, targets)[1]
+
+
+def _loss_and_gradients(model: MlpModel, inputs, targets) -> tuple:
+    """(loss_sse, gradients) from a single forward trace."""
+    x, y = _as_pair(model, inputs, targets)
+    activations, sums = _forward_trace(model, x)
+    transfers = model._transfer_fns
     e = y - activations[-1]
-    delta = -2.0 * e * resolve_transfer(model.transfers[-1]).derivative(sums[-1])
+    delta = -2.0 * e * transfers[-1].derivative(sums[-1])
     grads = [None] * model.n_layers
     for k in reversed(range(model.n_layers)):
         grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
         if k > 0:
-            delta = (delta @ model.weights[k]) * resolve_transfer(
-                model.transfers[k - 1]
-            ).derivative(sums[k - 1])
-    return grads
+            delta = (delta @ model.weights[k]) * transfers[k - 1].derivative(sums[k - 1])
+    return float(np.sum(e * e)), grads
 
 
 def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
@@ -259,15 +256,14 @@ def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
     """
     started = time.perf_counter()
     m = model.copy()
-    x = _as_batch(inputs, m.layer_sizes[0], "inputs")
-    y = _as_batch(targets, m.layer_sizes[-1], "targets")
+    x, y = _as_pair(m, inputs, targets)
     history: list[float] = []
     prev = math.inf
     stop_reason = "max_epochs"
     # Divergence is a recorded outcome, so let overflow run to inf quietly.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_epochs):
-            loss = loss_sse(m, x, y)
+            loss, grads = _loss_and_gradients(m, x, y)
             history.append(loss)
             if not math.isfinite(loss):
                 stop_reason = "diverged"
@@ -276,7 +272,7 @@ def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
                 stop_reason = "converged"
                 break
             prev = loss
-            for (w, b), (dw, db) in zip(zip(m.weights, m.biases), gradients(m, x, y)):
+            for (w, b), (dw, db) in zip(zip(m.weights, m.biases), grads):
                 w -= cfg.learning_rate * dw
                 b -= cfg.learning_rate * db
     report = TrainReport(
@@ -297,8 +293,7 @@ def check_gradients(model: MlpModel, inputs, targets, step: float = 1e-6) -> flo
     """
     if not step > 0:
         raise ParameterError("step must be > 0")
-    x = _as_batch(inputs, model.layer_sizes[0], "inputs")
-    y = _as_batch(targets, model.layer_sizes[-1], "targets")
+    x, y = _as_pair(model, inputs, targets)
     analytic = gradients(model, x, y)
     worst = 0.0
     probe = model.copy()

@@ -47,29 +47,50 @@ def _formats(cfg: ExperimentConfig, args) -> tuple:
     return ("csv", "json")
 
 
-def cmd_solve(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
+class _Artifacts:
+    """Writes a run's files and records (name, deterministic) for its manifest.
+
+    The writers are looked up in this module's globals at call time, so
+    anything that replaces cli.write_csv, cli.write_json or
+    cli.write_manifest sees every call.
+    """
+
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self.files = []
+
+    def csv(self, name: str, header, rows, deterministic: bool = True) -> None:
+        write_csv(self.out_dir / name, header, rows)
+        self.files.append((name, deterministic))
+
+    def json(self, name: str, obj, deterministic: bool = True) -> None:
+        write_json(self.out_dir / name, obj)
+        self.files.append((name, deterministic))
+
+    def manifest(self, config_doc: dict, seeds: dict, timings: dict) -> None:
+        write_manifest(self.out_dir, config_doc, seeds=seeds, timings=timings, files=self.files)
+
+
+def cmd_solve(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     cfg.require("problems")
-    files = []
+    out = _Artifacts(out_dir)
     combined = []
     for i, problem in enumerate(cfg.problems):
         analytic = pde.solve_analytic(problem, cfg.n_nodes)
         fdm = pde.solve_fdm(problem, cfg.n_nodes)
         for field in (analytic, fdm):
             name = f"solution_{i}_{field.provenance}.csv"
-            write_csv(out_dir / name, ("x", "y", "provenance"), field.csv_rows())
-            files.append((name, True))
+            out.csv(name, ("x", "y", "provenance"), field.csv_rows())
         combined.extend(
             (i, problem.g, problem.y0, problem.y1, x, y)
             for x, y in zip(analytic.nodes, analytic.values)
         )
-    write_csv(out_dir / "figure1.csv", ("series", "g", "y0", "y1", "x", "y"), combined)
-    files.append(("figure1.csv", True))
-    write_manifest(out_dir, cfg.raw, seeds={}, timings={}, files=files)
-    print(f"wrote {len(files)} solution files to {out_dir}")
-    return files
+    out.csv("figure1.csv", ("series", "g", "y0", "y1", "x", "y"), combined)
+    out.manifest(cfg.raw, seeds={}, timings={})
+    print(f"wrote {len(out.files)} solution files to {out_dir}")
 
 
-def cmd_fit(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
+def cmd_fit(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     cfg.require("regression")
     r = cfg.regression
     dataset = regress.generate_synthetic(
@@ -82,23 +103,18 @@ def cmd_fit(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
     )
     model = regress.fit_least_squares(dataset)
 
-    files = []
-    write_csv(out_dir / "dataset.csv", ("x", "y"), zip(dataset.inputs, dataset.targets))
-    files.append(("dataset.csv", True))
-    write_json(out_dir / "dataset.json", dataset.meta)
-    files.append(("dataset.json", True))
-    write_json(out_dir / "model.json", {"w": model.w, "b": model.b})
-    files.append(("model.json", True))
+    out = _Artifacts(out_dir)
+    out.csv("dataset.csv", ("x", "y"), zip(dataset.inputs, dataset.targets))
+    out.json("dataset.json", dataset.meta)
+    out.json("model.json", {"w": model.w, "b": model.b})
     line_x = np.linspace(r.x_range[0], r.x_range[1], r.n)
-    write_csv(
-        out_dir / "fit_line.csv",
+    out.csv(
+        "fit_line.csv",
         ("x", "y_true", "y_fit"),
         zip(line_x, r.true_w * line_x + r.true_b, model.predict(line_x)),
     )
-    files.append(("fit_line.csv", True))
-    write_manifest(out_dir, cfg.raw, seeds={"regression_seed": r.seed}, timings={}, files=files)
+    out.manifest(cfg.raw, seeds={"regression_seed": r.seed}, timings={})
     print(f"fitted w={model.w:.6g} b={model.b:.6g}; artifacts in {out_dir}")
-    return files
 
 
 def _build_ann_model(cfg: ExperimentConfig) -> ann.MlpModel:
@@ -121,7 +137,7 @@ def _build_ann_model(cfg: ExperimentConfig) -> ann.MlpModel:
     )
 
 
-def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
+def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     cfg.require("regression", "ann", "train")
     r = cfg.regression
     dataset = regress.generate_synthetic(
@@ -135,33 +151,27 @@ def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
     model = _build_ann_model(cfg)
     trained, report = ann.train_steepest_descent(model, dataset.inputs, dataset.targets, cfg.train)
 
-    files = []
-    write_json(out_dir / "model.json", trained.to_dict())
-    files.append(("model.json", True))
-    write_json(out_dir / "train_report.json", report.to_dict())
-    files.append(("train_report.json", False))
+    out = _Artifacts(out_dir)
+    out.json("model.json", trained.to_dict())
+    out.json("train_report.json", report.to_dict(), deterministic=False)
     if "csv" in formats:
-        write_csv(
-            out_dir / "loss.csv",
+        out.csv(
+            "loss.csv",
             ("epoch", "loss"),
             ((i + 1, loss) for i, loss in enumerate(report.loss_history)),
         )
-        files.append(("loss.csv", True))
-    write_manifest(
-        out_dir,
+    out.manifest(
         cfg.raw,
         seeds={"regression_seed": r.seed, "init_seed": cfg.train.init_seed},
         timings={"t_nt": report.wall_time},
-        files=files,
     )
     print(
         f"training stopped after {report.epochs_run} epochs ({report.stop_reason}); "
         f"artifacts in {out_dir}"
     )
-    return files
 
 
-def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
+def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     cfg.require("space", "arch", "train", "split", "eval", "costs")
     space = cfg.space
     dataset = surrogate.generate_dataset(space, cfg.n_nodes)
@@ -193,24 +203,22 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
     )
     n_star = costs.break_even(ledger)
 
-    files = []
-    write_csv(
-        out_dir / "inputs.csv",
+    out = _Artifacts(out_dir)
+    out.csv(
+        "inputs.csv",
         ("g", "y0", "y1", "split"),
         (
             (row[0], row[1], row[2], tag)
             for row, tag in zip(dataset.inputs, dataset.split)
         ),
     )
-    files.append(("inputs.csv", True))
-    write_csv(
-        out_dir / "outputs.csv",
+    out.csv(
+        "outputs.csv",
         tuple(f"y_{j}" for j in range(dataset.grid.shape[0])),
         dataset.outputs,
     )
-    files.append(("outputs.csv", True))
-    write_json(
-        out_dir / "dataset.json",
+    out.json(
+        "dataset.json",
         {
             "grid": dataset.grid,
             "seeds": dataset.seeds,
@@ -220,32 +228,25 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
             "split_counts": {tag: int(dataset.rows_for(tag).size) for tag in surrogate.SPLIT_TAGS},
         },
     )
-    files.append(("dataset.json", True))
-    write_json(out_dir / "model.json", model.to_dict())
-    files.append(("model.json", True))
-    write_json(out_dir / "train_report.json", train_report.to_dict())
-    files.append(("train_report.json", False))
-    write_json(out_dir / "eval_report.json", eval_report.to_dict())
-    files.append(("eval_report.json", True))
+    out.json("model.json", model.to_dict())
+    out.json("train_report.json", train_report.to_dict(), deterministic=False)
+    out.json("eval_report.json", eval_report.to_dict())
     if "csv" in formats:
-        write_csv(
-            out_dir / "loss.csv",
+        out.csv(
+            "loss.csv",
             ("epoch", "loss"),
             ((i + 1, loss) for i, loss in enumerate(train_report.loss_history)),
         )
-        files.append(("loss.csv", True))
-        write_csv(
-            out_dir / "extrapolation.csv",
+        out.csv(
+            "extrapolation.csv",
             ("range_multiplier", "rmse"),
             eval_report.extrapolation_curve,
         )
-        files.append(("extrapolation.csv", True))
-        write_csv(
-            out_dir / "sensitivity.csv",
+        out.csv(
+            "sensitivity.csv",
             ("input_perturbation", "max_output_deviation"),
             eval_report.sensitivity_table,
         )
-        files.append(("sensitivity.csv", True))
 
     if cfg.data_curve is not None:
         rows = surrogate.data_requirement_curve(
@@ -265,11 +266,9 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
             }
             for size in cfg.data_curve["sizes"]
         ]
-        write_json(out_dir / "data_curve.json", {"rows": rows, "seed_means": seed_means})
-        files.append(("data_curve.json", True))
+        out.json("data_curve.json", {"rows": rows, "seed_means": seed_means})
         if "csv" in formats:
-            write_csv(out_dir / "data_curve.csv", ("n_samples", "seed", "rmse_test"), rows)
-            files.append(("data_curve.csv", True))
+            out.csv("data_curve.csv", ("n_samples", "seed", "rmse_test"), rows)
 
     if cfg.arch_sweep is not None:
         sweep_rows = surrogate.architecture_sweep(
@@ -277,8 +276,8 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
             [(3, *hidden, cfg.n_nodes) for hidden in cfg.arch_sweep],
             cfg.train,
         )
-        write_json(
-            out_dir / "arch_sweep.json",
+        out.json(
+            "arch_sweep.json",
             {
                 "rows": [
                     {
@@ -290,21 +289,20 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
                     for layout, rmse, epochs, seconds in sweep_rows
                 ]
             },
+            deterministic=False,
         )
-        files.append(("arch_sweep.json", False))
 
-    write_json(
-        out_dir / "cost_ledger.json",
+    out.json(
+        "cost_ledger.json",
         {
             **ledger.to_dict(),
             "break_even": "never" if n_star is None else n_star,
             "total_time": costs.total_time(ledger),
         },
+        deterministic=False,
     )
-    files.append(("cost_ledger.json", False))
 
-    write_manifest(
-        out_dir,
+    out.manifest(
         cfg.raw,
         seeds={
             "master_seed": space.master_seed,
@@ -320,7 +318,6 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
             "total_time": costs.total_time(ledger),
             "break_even": "never" if n_star is None else n_star,
         },
-        files=files,
     )
     rmse = eval_report.rmse_test
     print(
@@ -328,10 +325,9 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
         f"{'absent' if rmse is None else format(rmse, '.6g')}, "
         f"break-even N {'never' if n_star is None else n_star}; artifacts in {out_dir}"
     )
-    return files
 
 
-def cmd_breakeven(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
+def cmd_breakeven(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     cfg.require("ledger")
     spec = cfg.ledger
     ledger = costs.CostLedger(
@@ -347,11 +343,11 @@ def cmd_breakeven(cfg: ExperimentConfig, out_dir: Path, formats) -> list:
         "break_even": "never" if n_star is None else n_star,
         "total_time": costs.total_time(ledger),
     }
-    write_json(out_dir / "breakeven.json", doc)
-    write_manifest(out_dir, cfg.raw, seeds={}, timings={}, files=[("breakeven.json", True)])
+    out = _Artifacts(out_dir)
+    out.json("breakeven.json", doc)
+    out.manifest(cfg.raw, seeds={}, timings={})
     print(f"break-even N : {'never' if n_star is None else n_star}")
     print(f"total time at N={ledger.n_predictions}: {costs.total_time(ledger):.6g} s")
-    return [("breakeven.json", True)]
 
 
 COMMANDS = {

@@ -1,6 +1,5 @@
-"""Minimal dense linear algebra: matrix products, a normal-equation
-pseudoinverse for skinny full-rank matrices, and a Thomas solver for
-tridiagonal systems.
+"""Minimal dense linear algebra: a normal-equation pseudoinverse for
+skinny full-rank matrices and a Thomas solver for tridiagonal systems.
 
 Matrices and vectors are plain float64 numpy arrays (row-major). The
 pseudoinverse deliberately implements (X^T X)^{-1} X^T through a
@@ -29,23 +28,6 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"expected a 2-D matrix, got shape {m.shape}")
     return m
-
-
-def as_vector(a) -> np.ndarray:
-    """Coerce to a 1-D float64 array with at least one entry."""
-    v = np.asarray(a, dtype=float)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ShapeError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def cholesky_spd(a: np.ndarray) -> np.ndarray:

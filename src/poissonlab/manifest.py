@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .fileio import read_json, sha256_file, write_json
 
 MANIFEST_NAME = "manifest.json"
 TOOL_NAME = "poissonlab"
-TOOL_VERSION = "0.1.0"
 
 
 def machine_descriptor() -> dict:
@@ -47,7 +47,7 @@ def write_manifest(out_dir, config_doc: dict, seeds: dict, timings: dict, files:
     """files is a list of (name, deterministic) pairs already on disk."""
     out_dir = Path(out_dir)
     doc = {
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "machine": machine_descriptor(),
         "config": config_doc,
         "seeds": seeds,

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .linalg import TridiagonalSystem, solve_tridiagonal
 
-PROVENANCES = ("analytic", "fdm", "surrogate")
+PROVENANCES = ("analytic", "fdm")
 
 DEFAULT_N_NODES = 101
 
@@ -114,21 +114,3 @@ def solve_fdm(problem: PoissonProblem, n_nodes: int) -> SolutionField:
     values[1:-1] = interior
     values[-1] = problem.y1
     return SolutionField(nodes=x, values=values, provenance="fdm")
-
-
-def sweep_analytic(problems, n_nodes: int) -> list[SolutionField]:
-    """Analytic solutions for a batch of problems, e.g. for plot export."""
-    problems = list(problems)
-    if not problems:
-        raise ParameterError("need at least one problem")
-    return [solve_analytic(p, n_nodes) for p in problems]
-
-
-def demo_combinations(x0: float = 0.0, x1: float = 1.0) -> list[PoissonProblem]:
-    """Four (g, y0, y1) combinations used by the solve demo on [0, 1].
-
-    The set is a lab choice picked to exercise sign and boundary
-    variation, not a reference result.
-    """
-    combos = [(0.0, 0.0, 1.0), (2.0, 0.0, 0.0), (-2.0, 1.0, 0.0), (4.0, 1.0, 1.0)]
-    return [PoissonProblem(g=g, x0=x0, x1=x1, y0=y0, y1=y1) for g, y0, y1 in combos]

@@ -3,7 +3,8 @@ the finite-difference solver, train an MLP mapping parameters to nodal
 values, and measure how the surrogate holds up in and out of range.
 
 Data generation derives one child seed per sample from the master seed,
-so results are bit-identical no matter how many workers generate them.
+so each random draw depends only on the master seed and the sample's
+index.
 Model inputs are standardized to zero mean and unit range on the train
 split; the offsets live inside the trained artifact so predictions stay
 well defined.
@@ -11,9 +12,8 @@ well defined.
 
 from __future__ import annotations
 
-import os
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +25,6 @@ from .linalg import as_matrix
 
 SAMPLINGS = ("uniform_random", "grid")
 SPLIT_TAGS = ("train", "val", "test")
-
-THREADS_ENV_VAR = "POISSONLAB_THREADS"
 
 # Seed-tree branch labels: generation draws under (0, i), evaluation
 # draws under (1, multiplier_index, i).
@@ -59,6 +57,9 @@ class ParameterSpace:
             object.__setattr__(self, name, (float(lo), float(hi)))
             if not lo <= hi:
                 raise ParameterError(f"{name} must satisfy lo <= hi, got [{lo}, {hi}]")
+            # Uniform draws overflow on a range wider than the largest float.
+            if not math.isfinite(hi - lo):
+                raise ParameterError(f"{name} must have a finite width, got [{lo}, {hi}]")
         if not self.x0 < self.x1:
             raise ParameterError(f"need x0 < x1, got [{self.x0}, {self.x1}]")
         if self.n_samples < 1:
@@ -140,26 +141,18 @@ def _solve_row(space: ParameterSpace, params: np.ndarray, n_nodes: int) -> np.nd
 def generate_dataset(space: ParameterSpace, n_nodes: int) -> SurrogateDataset:
     """Run one finite-difference solve per sampled parameter set.
 
-    Parallel workers (POISSONLAB_THREADS) only split the solve loop; the
-    per-sample seeding keeps the result independent of worker count. A
-    failing solve aborts with the offending sample index.
+    A failing solve aborts with a ParameterError naming the offending
+    sample index.
     """
     started = time.perf_counter()
     inputs = sample_inputs(space)
     grid = np.linspace(space.x0, space.x1, n_nodes)
-    workers = int(os.environ.get(THREADS_ENV_VAR, "1"))
-
-    def solve_at(i: int) -> np.ndarray:
+    rows = []
+    for i, params in enumerate(inputs):
         try:
-            return _solve_row(space, inputs[i], n_nodes)
+            rows.append(_solve_row(space, params, n_nodes))
         except Exception as exc:
-            raise type(exc)(f"sample {i}: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve_at, range(space.n_samples)))
-    else:
-        rows = [solve_at(i) for i in range(space.n_samples)]
+            raise ParameterError(f"sample {i}: {exc}") from exc
     outputs = np.vstack(rows)
     return SurrogateDataset(
         inputs=inputs,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,8 +9,8 @@ from poissonlab.ann import (
     TRANSFERS,
     MlpModel,
     TrainConfig,
+    _loss_and_gradients,
     check_gradients,
-    forward,
     gradients,
     init_mlp,
     loss_sse,
@@ -59,21 +61,21 @@ def test_tanh_contract():
 
 
 def test_forward_single_linear_neuron():
-    assert forward(siso(2.0, -4.0), [3.0]) == pytest.approx(2.0)
+    assert predict_batch(siso(2.0, -4.0), [[3.0]])[0, 0] == pytest.approx(2.0)
 
 
 def test_forward_zero_model():
     model = init_mlp((2, 3, 2), transfers=("purelin", "purelin"), scheme="zeros")
-    npt.assert_array_equal(forward(model, [5.0, -1.0]), np.zeros(2))
+    npt.assert_array_equal(predict_batch(model, [[5.0, -1.0]]), np.zeros((1, 2)))
 
 
 def test_forward_tanh_at_origin():
-    assert forward(siso(0.0, 0.0, transfer="tanh"), [5.0]) == pytest.approx(0.0)
+    assert predict_batch(siso(0.0, 0.0, transfer="tanh"), [[5.0]])[0, 0] == pytest.approx(0.0)
 
 
 def test_forward_shape_mismatch():
     with pytest.raises(ShapeError):
-        forward(siso(1.0, 0.0), [1.0, 2.0])
+        predict_batch(siso(1.0, 0.0), [[1.0, 2.0]])
 
 
 def test_model_shape_validation():
@@ -111,7 +113,7 @@ def test_loss_matches_per_sample_sum():
     x = rng.normal(size=(12, n_in))
     y = rng.normal(size=(12, n_out))
     brute = sum(
-        float(np.sum((y[i] - forward(model, x[i])) ** 2)) for i in range(12)
+        float(np.sum((y[i] - predict_batch(model, x[i : i + 1])[0]) ** 2)) for i in range(12)
     )
     assert loss_sse(model, x, y) == pytest.approx(brute, rel=1e-12)
 
@@ -152,6 +154,19 @@ def test_gradients_match_finite_differences_small_models():
         x = rng.uniform(-1.0, 1.0, size=(8, n_in))
         y = rng.uniform(-1.0, 1.0, size=(8, n_out))
         assert check_gradients(model, x, y, step=1e-6) < 1e-6
+
+
+@pytest.mark.parametrize("transfers", [("tanh", "purelin"), ("purelin", "purelin")])
+def test_fused_loss_and_gradients_equal_separate_calls(transfers):
+    rng = np.random.default_rng(5)
+    model = init_mlp((3, 6, 4), transfers=transfers, seed=2)
+    x = rng.normal(size=(9, 3))
+    y = rng.normal(size=(9, 4))
+    loss, grads = _loss_and_gradients(model, x, y)
+    assert loss == loss_sse(model, x, y)
+    for (dw, db), (ref_dw, ref_db) in zip(grads, gradients(model, x, y)):
+        npt.assert_array_equal(dw, ref_dw)
+        npt.assert_array_equal(db, ref_db)
 
 
 def test_check_gradients_purelin_near_exact():
@@ -227,6 +242,39 @@ def test_train_deterministic_replay():
     assert first.stop_reason == second.stop_reason
     for w1, w2 in zip(first_model.weights, second_model.weights):
         npt.assert_array_equal(w1, w2)
+
+
+def test_train_matches_two_pass_reference_loop():
+    # One trace per epoch must change nothing against the textbook loop
+    # that evaluates the loss and then the gradients separately.
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-0.5, 0.5, size=(40, 3))
+    grid = np.linspace(0.0, 1.0, 101)
+    y = x[:, [0]] * grid * (1.0 - grid) + x[:, [1]] * (1.0 - grid) + x[:, [2]] * grid
+    model = init_mlp((3, 8, 101), transfers=("tanh", "purelin"), seed=0)
+    cfg = TrainConfig(learning_rate=5e-4, stop_tolerance=1e-12, max_epochs=200)
+
+    reference = model.copy()
+    history = []
+    prev = math.inf
+    for _ in range(cfg.max_epochs):
+        loss = loss_sse(reference, x, y)
+        history.append(loss)
+        if not math.isfinite(loss) or abs(loss - prev) < cfg.stop_tolerance:
+            break
+        prev = loss
+        for (w, b), (dw, db) in zip(
+            zip(reference.weights, reference.biases), gradients(reference, x, y)
+        ):
+            w -= cfg.learning_rate * dw
+            b -= cfg.learning_rate * db
+
+    trained, report = train_steepest_descent(model, x, y, cfg)
+    assert report.epochs_run == cfg.max_epochs
+    assert report.loss_history == history
+    for k in range(trained.n_layers):
+        npt.assert_array_equal(trained.weights[k], reference.weights[k])
+        npt.assert_array_equal(trained.biases[k], reference.biases[k])
 
 
 def test_train_does_not_mutate_input_model():

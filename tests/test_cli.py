@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import poissonlab
 from poissonlab.cli import main
 from poissonlab.config import load_config, parse_config
 from poissonlab.errors import ConfigError
@@ -120,6 +121,13 @@ def test_exit_three_on_singular_fit(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exit_two_on_range_wider_than_float(tmp_path, capsys):
+    doc = {**SURROGATE_DOC, "space": {**SPACE, "g_range": [-1e308, 1e308]}}
+    path = write_config(tmp_path, doc)
+    assert main(["surrogate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "g_range" in capsys.readouterr().err
+
+
 def test_exit_four_on_missing_config(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 4
     assert "missing input" in capsys.readouterr().err
@@ -233,6 +241,13 @@ def test_surrogate_manifest_records_seeds(surrogate_run):
         "eval_seed": 11,
     }
     assert manifest["config"] == SURROGATE_DOC
+
+
+def test_public_names_resolve_and_manifest_has_package_version(surrogate_run):
+    for name in poissonlab.__all__:
+        assert hasattr(poissonlab, name), name
+    manifest = read_json(surrogate_run / "manifest.json")
+    assert manifest["tool"]["version"] == poissonlab.__version__
 
 
 def test_surrogate_cost_ledger(surrogate_run):

@@ -8,30 +8,9 @@ from poissonlab.errors import ShapeError, SingularMatrixError
 from poissonlab.linalg import (
     TridiagonalSystem,
     cholesky_spd,
-    matmul,
     pseudoinverse,
     solve_tridiagonal,
 )
-
-
-def test_matmul_identity():
-    a = np.array([[1.5, -2.0], [0.25, 7.0]])
-    npt.assert_array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_hand_case():
-    product = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-    npt.assert_array_equal(product, [[3.0], [7.0]])
-
-
-def test_matmul_zero_annihilates():
-    a = np.arange(6.0).reshape(2, 3) + 1.0
-    npt.assert_array_equal(matmul(np.zeros((2, 2)), a), np.zeros((2, 3)))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_pseudoinverse_of_identity():

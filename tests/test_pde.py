@@ -5,10 +5,8 @@ import pytest
 from poissonlab.errors import ParameterError
 from poissonlab.pde import (
     PoissonProblem,
-    demo_combinations,
     solve_analytic,
     solve_fdm,
-    sweep_analytic,
 )
 
 
@@ -105,22 +103,6 @@ def test_problem_validation():
         PoissonProblem(1.0, 1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ParameterError):
         PoissonProblem(float("nan"), 0.0, 1.0, 0.0, 0.0)
-
-
-def test_sweep_matches_individual_solves():
-    problems = demo_combinations()
-    fields = sweep_analytic(problems, 21)
-    assert len(fields) == 4
-    for problem, field in zip(problems, fields):
-        npt.assert_array_equal(field.values, solve_analytic(problem, 21).values)
-    # duplicates give identical fields
-    twice = sweep_analytic([problems[1], problems[1]], 21)
-    npt.assert_array_equal(twice[0].values, twice[1].values)
-
-
-def test_sweep_rejects_empty():
-    with pytest.raises(ParameterError):
-        sweep_analytic([], 11)
 
 
 def test_csv_rows_layout():

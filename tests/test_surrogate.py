@@ -13,6 +13,7 @@ from poissonlab.surrogate import (
     evaluate,
     generate_dataset,
     sample_inputs,
+    scaled_space,
     split_dataset,
     train_surrogate,
 )
@@ -92,13 +93,15 @@ def test_generate_grid_requires_perfect_cube():
         sample_inputs(space)
 
 
-def test_generate_deterministic_across_worker_counts(monkeypatch):
-    space = linear_space(n_samples=12, master_seed=99)
-    serial = generate_dataset(space, 31)
-    monkeypatch.setenv("POISSONLAB_THREADS", "4")
-    threaded = generate_dataset(space, 31)
-    npt.assert_array_equal(serial.inputs, threaded.inputs)
-    npt.assert_array_equal(serial.outputs, threaded.outputs)
+def test_generate_failure_names_the_sample():
+    with pytest.raises(ParameterError, match="sample 0"):
+        generate_dataset(linear_space(n_samples=2), 2)
+
+
+def test_scaled_space_rejects_infinite_width():
+    # Widening [0, 1e308] four times overflows to (-inf, inf).
+    with pytest.raises(ParameterError, match="g_range"):
+        scaled_space(linear_space(g_hi=1e308), 4.0)
 
 
 def test_generate_ground_truth_fidelity():
