@@ -1,0 +1,85 @@
+"""Print digests of every deterministic artifact the demo runs write.
+
+Runs every `configs/*.json` plus `perfbench/wide_datagen.json` through
+`poissonlab` into a temporary directory and prints one JSON object that
+maps each config to the SHA-256 of every file its manifest flags
+deterministic, plus a SHA-256 of the training loss history when the run
+trains a network (`train_report.json` itself holds wall times).
+
+Two commits give bit-identical deterministic artifacts when their
+outputs are equal:
+
+    python3 scripts/artifact_digests.py > after.json
+    (in a checkout of the other commit) python3 scripts/artifact_digests.py > before.json
+    diff before.json after.json
+
+Uses only the standard library and the package under `src/` next to
+this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from poissonlab import cli  # noqa: E402
+
+# A config's command follows from the first of these sections it holds.
+COMMAND_BY_SECTION = (
+    ("space", "surrogate"),
+    ("ann", "train-ann"),
+    ("regression", "fit"),
+    ("ledger", "breakeven"),
+    ("problems", "solve"),
+    ("problem", "solve"),
+)
+
+
+def command_for(config: dict) -> str:
+    for section, command in COMMAND_BY_SECTION:
+        if section in config:
+            return command
+    raise ValueError(f"no command for a config with sections {sorted(config)}")
+
+
+def digest_run(config_path: Path, out_dir: Path) -> dict:
+    command = command_for(json.loads(config_path.read_text(encoding="utf-8")))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", str(config_path), "--out", str(out_dir)])
+    if code != 0:
+        raise RuntimeError(f"{config_path} exited {code}")
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    files = {
+        entry["name"]: hashlib.sha256((out_dir / entry["name"]).read_bytes()).hexdigest()
+        for entry in manifest["files"]
+        if entry["deterministic"]
+    }
+    run = {"command": command, "files": files}
+    train_report = out_dir / "train_report.json"
+    if train_report.exists():
+        history = json.loads(train_report.read_text(encoding="utf-8"))["loss_history"]
+        run["loss_history"] = hashlib.sha256(json.dumps(history).encode()).hexdigest()
+    return run
+
+
+def main() -> int:
+    configs = sorted((ROOT / "configs").glob("*.json")) + [ROOT / "perfbench" / "wide_datagen.json"]
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, path in enumerate(configs):
+            digests[str(path.relative_to(ROOT))] = digest_run(path, Path(tmp) / str(i))
+    json.dump(digests, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,26 +1,41 @@
 """Deterministic artifact writers: CSV with '\\n' line endings and a
-mandatory header, JSON with sorted keys and shortest round-trip floats.
+mandatory header, strict JSON (RFC 8259) with sorted keys and shortest
+round-trip floats.
+
+JSON has no token for inf or NaN, so write_json writes each such value
+as null and lists where it was under a top-level "non_finite" key, for
+example ["loss_history[41]", "rmse_train"]; read_json puts NaN back there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json can emit them."""
+def jsonable(obj, non_finite: list, path: str = ""):
+    """Recursively convert numpy scalars/arrays so json can emit them.
+
+    A float that is not finite becomes None; its path, such as
+    "rows[0].rmse", is appended to non_finite.
+    """
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        items = {str(k): v for k, v in obj.items()}
+        return {k: jsonable(items[k], non_finite, f"{path}.{k}" if path else k) for k in sorted(items)}
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v, non_finite, f"{path}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        non_finite.append(path)
+        return None
     if isinstance(obj, np.floating):
         return float(obj)
     return obj
@@ -45,14 +60,29 @@ def write_csv(path, header, rows) -> Path:
 
 def write_json(path, obj) -> Path:
     path = Path(path)
+    non_finite = []
+    doc = jsonable(obj, non_finite)
+    if non_finite:
+        doc["non_finite"] = non_finite
     path.write_text(
-        json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
     )
     return path
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if isinstance(doc, dict):
+        for where in doc.pop("non_finite", []):
+            *parents, last = (
+                int(part[1:-1]) if part.startswith("[") else part
+                for part in re.findall(r"\[\d+\]|[^.\[\]]+", where)
+            )
+            node = doc
+            for part in parents:
+                node = node[part]
+            node[last] = math.nan
+    return doc
 
 
 def sha256_file(path) -> str:

@@ -87,7 +87,10 @@ def pseudoinverse(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TridiagonalSystem:
-    """A·u = rhs with A given by its sub-, main- and super-diagonals."""
+    """A·u = rhs with A given by its sub-, main- and super-diagonals.
+
+    rhs is one right-hand side (n,) or a batch of them as columns (n, batch).
+    """
 
     sub: np.ndarray
     diag: np.ndarray
@@ -102,13 +105,11 @@ class TridiagonalSystem:
         n = self.diag.shape[0]
         if self.diag.ndim != 1 or n < 1:
             raise ShapeError("diag must be a vector of length >= 1")
-        for name, arr, want in (
-            ("sub", self.sub, n - 1),
-            ("sup", self.sup, n - 1),
-            ("rhs", self.rhs, n),
-        ):
+        for name, arr, want in (("sub", self.sub, n - 1), ("sup", self.sup, n - 1)):
             if arr.ndim != 1 or arr.shape[0] != want:
                 raise ShapeError(f"{name} must have length {want}, got {arr.shape}")
+        if self.rhs.ndim not in (1, 2) or self.rhs.shape[0] != n:
+            raise ShapeError(f"rhs must have shape ({n},) or ({n}, batch), got {self.rhs.shape}")
 
     @property
     def n(self) -> int:
@@ -116,33 +117,36 @@ class TridiagonalSystem:
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """Thomas algorithm without pivoting.
+    """Thomas algorithm without pivoting; returns u with the shape of rhs.
 
     Intended for diagonally dominant systems (the finite-difference
     Laplacian qualifies); a vanishing pivot raises SingularMatrixError.
+    The loop runs over the n rows and updates a whole row of an (n, batch)
+    rhs per step, so each column gets exactly the operations of its own
+    vector solve.
     """
     n = system.n
-    scale = max(1.0, float(np.max(np.abs(system.diag))))
+    sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
+    scale = max(1.0, float(np.max(np.abs(diag))))
     tiny = PIVOT_RTOL * scale
-    sup_over_pivot = np.empty(n - 1) if n > 1 else np.empty(0)
-    work = np.empty(n)
+    sup_over_pivot = np.empty(n - 1)
+    work = np.empty_like(rhs)
 
-    pivot = system.diag[0]
+    pivot = diag[0]
     if abs(pivot) <= tiny:
         raise SingularMatrixError(f"zero pivot at row 0 ({pivot:.3e})")
-    work[0] = system.rhs[0] / pivot
+    work[0] = rhs[0] / pivot
     if n > 1:
-        sup_over_pivot[0] = system.sup[0] / pivot
+        sup_over_pivot[0] = sup[0] / pivot
     for i in range(1, n):
-        pivot = system.diag[i] - system.sub[i - 1] * sup_over_pivot[i - 1]
+        pivot = diag[i] - sub[i - 1] * sup_over_pivot[i - 1]
         if abs(pivot) <= tiny:
             raise SingularMatrixError(f"zero pivot at row {i} ({pivot:.3e})")
-        work[i] = (system.rhs[i] - system.sub[i - 1] * work[i - 1]) / pivot
+        work[i] = (rhs[i] - sub[i - 1] * work[i - 1]) / pivot
         if i < n - 1:
-            sup_over_pivot[i] = system.sup[i] / pivot
+            sup_over_pivot[i] = sup[i] / pivot
 
-    u = np.empty(n)
-    u[n - 1] = work[n - 1]
+    # Back substitution in place: row i + 1 of work already holds u.
     for i in reversed(range(n - 1)):
-        u[i] = work[i] - sup_over_pivot[i] * u[i + 1]
-    return u
+        work[i] = work[i] - sup_over_pivot[i] * work[i + 1]
+    return work

@@ -21,6 +21,26 @@ PROVENANCES = ("analytic", "fdm")
 DEFAULT_N_NODES = 101
 
 
+def _check_parameters(g, x0, x1, y0, y1) -> None:
+    """Raise ParameterError unless all are finite and x0 < x1; for vectors
+    g, y0, y1 (one problem per entry, all on [x0, x1]) name the first bad one."""
+    if getattr(g, "ndim", 0):
+        _check_parameters(0.0, x0, x1, 0.0, 0.0)
+        finite = np.isfinite(g) & np.isfinite(y0) & np.isfinite(y1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            try:
+                _check_parameters(float(g[i]), x0, x1, float(y0[i]), float(y1[i]))
+            except ParameterError as exc:
+                raise ParameterError(f"sample {i}: {exc}") from exc
+        return
+    for name, value in (("g", g), ("x0", x0), ("x1", x1), ("y0", y0), ("y1", y1)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+    if not x0 < x1:
+        raise ParameterError(f"need x0 < x1, got [{x0}, {x1}]")
+
+
 @dataclass(frozen=True)
 class PoissonProblem:
     """Constant source term g, domain [x0, x1], boundary values y0, y1."""
@@ -32,12 +52,7 @@ class PoissonProblem:
     y1: float
 
     def __post_init__(self):
-        for name in ("g", "x0", "x1", "y0", "y1"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-        if not self.x0 < self.x1:
-            raise ParameterError(f"need x0 < x1, got [{self.x0}, {self.x1}]")
+        _check_parameters(self.g, self.x0, self.x1, self.y0, self.y1)
 
 
 @dataclass(frozen=True)
@@ -87,30 +102,36 @@ def solve_analytic(problem: PoissonProblem, n_nodes: int) -> SolutionField:
     return SolutionField(nodes=x, values=values, provenance="analytic")
 
 
-def solve_fdm(problem: PoissonProblem, n_nodes: int) -> SolutionField:
-    """Second-order central differences on a uniform grid.
+def fdm_values(g, y0, y1, x0: float, x1: float, n_nodes: int) -> np.ndarray:
+    """Second-order central differences on a uniform grid of [x0, x1].
 
     Interior equations (-u_{i-1} + 2 u_i - u_{i+1}) / h^2 = g; the
     Dirichlet rows are eliminated into the right-hand side, which leaves
     a diagonally dominant tridiagonal system for the Thomas solver.
+    Scalar (g, y0, y1) give the (n_nodes,) values of one problem; vectors
+    give a (batch, n_nodes) array, one row per problem, from one sweep.
     """
     if n_nodes < 3:
         raise ParameterError(f"n_nodes must be >= 3 for the FDM grid, got {n_nodes}")
-    x = uniform_grid(problem, n_nodes)
-    h = (problem.x1 - problem.x0) / (n_nodes - 1)
+    _check_parameters(g, x0, x1, y0, y1)
+    h = (x1 - x0) / (n_nodes - 1)
     m = n_nodes - 2
-    rhs = np.full(m, problem.g * h * h)
-    rhs[0] += problem.y0
-    rhs[-1] += problem.y1
-    system = TridiagonalSystem(
-        sub=np.full(m - 1, -1.0),
-        diag=np.full(m, 2.0),
-        sup=np.full(m - 1, -1.0),
-        rhs=rhs,
-    )
-    interior = solve_tridiagonal(system)
-    values = np.empty(n_nodes)
-    values[0] = problem.y0
-    values[1:-1] = interior
-    values[-1] = problem.y1
-    return SolutionField(nodes=x, values=values, provenance="fdm")
+    # Nodes run down axis 0, problems across axis 1; the interior rows
+    # double as the right-hand side until the solve overwrites them.
+    values = np.empty((n_nodes, *getattr(g, "shape", ())))
+    values[0] = y0
+    values[-1] = y1
+    rhs = values[1:-1]
+    rhs[...] = g * h * h
+    rhs[0] += y0
+    rhs[-1] += y1
+    off_diagonal = np.full(m - 1, -1.0)
+    system = TridiagonalSystem(sub=off_diagonal, diag=np.full(m, 2.0), sup=off_diagonal, rhs=rhs)
+    values[1:-1] = solve_tridiagonal(system)
+    return np.ascontiguousarray(values.T)
+
+
+def solve_fdm(problem: PoissonProblem, n_nodes: int) -> SolutionField:
+    """The finite-difference solution of one problem (see fdm_values)."""
+    values = fdm_values(problem.g, problem.y0, problem.y1, problem.x0, problem.x1, n_nodes)
+    return SolutionField(nodes=uniform_grid(problem, n_nodes), values=values, provenance="fdm")

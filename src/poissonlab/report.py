@@ -5,11 +5,13 @@ ran the pipeline, what the data and training stages cost, what the model
 looked like, how training was tuned, and how the surrogate behaves in
 range, out of range, across grids, and under input perturbations. Rows
 whose inputs are missing from the run say "not measured" rather than
-dropping out.
+dropping out, and a value that is not finite (inf or NaN, written to
+JSON as null) reads "not finite".
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .costs import CostLedger, break_even, total_time
@@ -17,12 +19,17 @@ from .fileio import read_json
 from .manifest import load_manifest
 
 
+def _num(value, spec: str, unit: str = "") -> str:
+    value = float(value)
+    return f"{value:{spec}}{unit}" if math.isfinite(value) else "not finite"
+
+
 def _fmt_seconds(value) -> str:
-    return f"{float(value):.6g} s"
+    return _num(value, ".6g", " s")
 
 
 def _fmt_rmse(value) -> str:
-    return "absent (empty split)" if value is None else f"{float(value):.6g}"
+    return "absent (empty split)" if value is None else _num(value, ".6g")
 
 
 def _optional_json(run_dir: Path, name: str):
@@ -80,7 +87,7 @@ def build_report(run_dir) -> str:
         arch = f"layers {mlp['layer_sizes']}, transfers {mlp['transfers']}"
         if sweep_doc is not None:
             variants = ", ".join(
-                f"{row['layer_sizes']} -> rmse {row['rmse_test']:.4g}" for row in sweep_doc["rows"]
+                f"{row['layer_sizes']} -> rmse {_num(row['rmse_test'], '.4g')}" for row in sweep_doc["rows"]
             )
             arch += f"; sweep: {variants}"
         rows.append(("Q4", "architecture", arch))
@@ -92,7 +99,7 @@ def build_report(run_dir) -> str:
         val_rmse = eval_doc.get("rmse_val")
         detail = f"train RMSE {_fmt_rmse(train_rmse)}, val RMSE {_fmt_rmse(val_rmse)}"
         if train_rmse and val_rmse:
-            detail += f", val/train ratio {val_rmse / train_rmse:.3g}"
+            detail += f", val/train ratio {_num(val_rmse / train_rmse, '.3g')}"
         rows.append(("Q5", "over/under-fitting gap", detail))
     else:
         rows.append(("Q5", "over/under-fitting gap", "not measured"))
@@ -109,7 +116,7 @@ def build_report(run_dir) -> str:
         rows.append(("Q6", "rate, tolerance, epochs", "not measured"))
 
     if curve_doc is not None:
-        points = ", ".join(f"n={r['n_samples']} -> {r['rmse_test']:.4g}" for r in curve_doc["seed_means"])
+        points = ", ".join(f"n={r['n_samples']} -> {_num(r['rmse_test'], '.4g')}" for r in curve_doc["seed_means"])
         rows.append(("Q7", "data requirement curve", f"{points} (per-seed rows in data_curve.csv)"))
     elif eval_doc is not None and config.get("space") is not None:
         rows.append(
@@ -124,17 +131,17 @@ def build_report(run_dir) -> str:
         rows.append(("Q7", "data requirement curve", "not measured"))
 
     if eval_doc is not None:
-        curve = ", ".join(f"x{m:g} -> {r:.4g}" for m, r in eval_doc["extrapolation_curve"])
+        curve = ", ".join(f"x{m:g} -> {_num(r, '.4g')}" for m, r in eval_doc["extrapolation_curve"])
         rows.append(("Q8", "extrapolation error", curve or "not measured"))
         transfer = eval_doc.get("discretization_transfer")
         rows.append(
             (
                 "Q9",
                 "discretization transfer",
-                "not measured" if transfer is None else f"RMSE {transfer:.6g} on the 2x finer grid",
+                "not measured" if transfer is None else f"RMSE {_num(transfer, '.6g')} on the 2x finer grid",
             )
         )
-        table = ", ".join(f"delta {d:g} -> max dev {v:.4g}" for d, v in eval_doc["sensitivity_table"])
+        table = ", ".join(f"delta {d:g} -> max dev {_num(v, '.4g')}" for d, v in eval_doc["sensitivity_table"])
         rows.append(("Q10", "input sensitivity", table or "not measured"))
     else:
         rows.append(("Q8", "extrapolation error", "not measured"))
@@ -147,7 +154,7 @@ def build_report(run_dir) -> str:
     lines.append("-" * 72)
 
     if eval_doc is not None:
-        lines.append(f"    physics check (BC gap)    : mean {eval_doc['bc_violation_mean']:.6g}")
+        lines.append(f"    physics check (BC gap)    : mean {_num(eval_doc['bc_violation_mean'], '.6g')}")
     if ledger_doc is not None:
         ledger = CostLedger(
             t_dg=ledger_doc["t_dg"],
@@ -161,7 +168,7 @@ def build_report(run_dir) -> str:
         verdict = "never" if n_star is None else str(n_star)
         lines.append(
             f"    break-even N              : {verdict} "
-            f"(t_pr {ledger.t_pr:.6g} s vs t_solve {ledger.t_solve:.6g} s)"
+            f"(t_pr {_fmt_seconds(ledger.t_pr)} vs t_solve {_fmt_seconds(ledger.t_solve)})"
         )
         lines.append(
             f"    total time at N={ledger.n_predictions:<9}: {_fmt_seconds(total_time(ledger))}"

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import ann
 from .errors import ParameterError, ShapeError
-from .pde import PoissonProblem, solve_fdm
 from .linalg import as_matrix
+# solve_fdm is not called here; perfbench/tracer.py hooks it as surrogate.solve_fdm.
+from .pde import fdm_values, solve_fdm  # noqa: F401
 
 SAMPLINGS = ("uniform_random", "grid")
 SPLIT_TAGS = ("train", "val", "test")
@@ -30,12 +31,6 @@ SPLIT_TAGS = ("train", "val", "test")
 # draws under (1, multiplier_index, i).
 _BRANCH_GENERATE = 0
 _BRANCH_EVAL = 1
-
-
-def sub_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Child generator for a fixed position in the seed tree."""
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.default_rng(ss)
 
 
 @dataclass(frozen=True)
@@ -107,10 +102,19 @@ class SurrogateDataset:
     def rows_for(self, tag: str) -> np.ndarray:
         return np.array([i for i, t in enumerate(self.split) if t == tag], dtype=int)
 
+    def probe_rows(self) -> np.ndarray:
+        """The test split, or every row when the test split is empty."""
+        rows = self.rows_for("test")
+        return rows if rows.size else np.arange(self.n_samples)
 
-def _draw_sample(space: ParameterSpace, index: int) -> np.ndarray:
-    rng = sub_rng(space.master_seed, _BRANCH_GENERATE, index)
-    return np.array([rng.uniform(lo, hi) for lo, hi in space.ranges])
+
+def _seeded_draws(ranges, count: int, seed: int, *branch: int) -> np.ndarray:
+    """(count, 3) uniform draws; row i has its own place (seed, *branch, i) in the seed tree."""
+    draws = np.empty((count, len(ranges)))
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(*branch, i)))
+        draws[i] = [rng.uniform(lo, hi) for lo, hi in ranges]
+    return draws
 
 
 def sample_inputs(space: ParameterSpace) -> np.ndarray:
@@ -120,7 +124,7 @@ def sample_inputs(space: ParameterSpace) -> np.ndarray:
     samples out as the cartesian product of per-axis linspaces.
     """
     if space.sampling == "uniform_random":
-        return np.vstack([_draw_sample(space, i) for i in range(space.n_samples)])
+        return _seeded_draws(space.ranges, space.n_samples, space.master_seed, _BRANCH_GENERATE)
     per_axis = round(space.n_samples ** (1.0 / 3.0))
     if per_axis**3 != space.n_samples:
         raise ParameterError(
@@ -131,33 +135,19 @@ def sample_inputs(space: ParameterSpace) -> np.ndarray:
     return np.column_stack([m.reshape(-1) for m in mesh])
 
 
-def _solve_row(space: ParameterSpace, params: np.ndarray, n_nodes: int) -> np.ndarray:
-    problem = PoissonProblem(
-        g=float(params[0]), x0=space.x0, x1=space.x1, y0=float(params[1]), y1=float(params[2])
-    )
-    return solve_fdm(problem, n_nodes).values
-
-
 def generate_dataset(space: ParameterSpace, n_nodes: int) -> SurrogateDataset:
-    """Run one finite-difference solve per sampled parameter set.
+    """Sample the parameter space and solve every sample in one batched sweep.
 
-    A failing solve aborts with a ParameterError naming the offending
-    sample index.
+    The solver validates every sample as PoissonProblem would; a bad one
+    aborts with a ParameterError naming the first offending sample index.
     """
     started = time.perf_counter()
     inputs = sample_inputs(space)
-    grid = np.linspace(space.x0, space.x1, n_nodes)
-    rows = []
-    for i, params in enumerate(inputs):
-        try:
-            rows.append(_solve_row(space, params, n_nodes))
-        except Exception as exc:
-            raise ParameterError(f"sample {i}: {exc}") from exc
-    outputs = np.vstack(rows)
+    outputs = fdm_values(*inputs.T, space.x0, space.x1, n_nodes)
     return SurrogateDataset(
         inputs=inputs,
         outputs=outputs,
-        grid=grid,
+        grid=np.linspace(space.x0, space.x1, n_nodes),
         split=["train"] * space.n_samples,
         generation_time=time.perf_counter() - started,
         seeds={"master_seed": int(space.master_seed)},
@@ -315,6 +305,11 @@ def _rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
         return float(np.sqrt(np.mean(diff * diff)))
 
 
+def _probe_rmse(model: SurrogateModel, dataset: SurrogateDataset) -> float:
+    rows = dataset.probe_rows()
+    return _rmse(model.predict(dataset.inputs[rows]), dataset.outputs[rows])
+
+
 def scaled_space(space: ParameterSpace, multiplier: float) -> ParameterSpace:
     """Ranges widened about their midpoints by the multiplier."""
     def scale(rng):
@@ -323,15 +318,11 @@ def scaled_space(space: ParameterSpace, multiplier: float) -> ParameterSpace:
         half = 0.5 * (hi - lo) * multiplier
         return (mid - half, mid + half)
 
-    return ParameterSpace(
+    return replace(
+        space,
         g_range=scale(space.g_range),
         y0_range=scale(space.y0_range),
         y1_range=scale(space.y1_range),
-        x0=space.x0,
-        x1=space.x1,
-        sampling=space.sampling,
-        n_samples=space.n_samples,
-        master_seed=space.master_seed,
     )
 
 
@@ -348,12 +339,13 @@ def evaluate(
 
     Interpolation: RMSE per split against the stored solver outputs.
     Extrapolation: for each multiplier, n_fresh parameter draws from the
-    widened ranges are re-solved and compared. Sensitivity: each input
-    of every probe row is nudged by +-delta and the largest output
-    deviation is recorded. Discretization transfer: predictions are
-    linearly resampled onto a 2x finer solver grid and compared there.
-    Probe rows are the test split, or every row when the test split is
-    empty.
+    widened ranges are solved in one batched sweep and compared.
+    Sensitivity: each input of every probe row is nudged by +-delta and
+    the largest output deviation is recorded; a non-finite deviation
+    makes the entry NaN rather than hiding it. Discretization transfer:
+    predictions are linearly resampled onto a 2x finer grid and compared
+    with one batched sweep on that grid. Probe rows are the test split,
+    or every row when the test split is empty.
     """
     if n_fresh < 1:
         raise ParameterError(f"n_fresh must be >= 1, got {n_fresh}")
@@ -376,33 +368,29 @@ def evaluate(
     curve = []
     for m_index, multiplier in enumerate(extrap_multipliers):
         wider = scaled_space(space, float(multiplier))
-        fresh = np.empty((n_fresh, 3))
-        for i in range(n_fresh):
-            rng = sub_rng(seed, _BRANCH_EVAL, m_index, i)
-            fresh[i] = [rng.uniform(lo, hi) for lo, hi in wider.ranges]
-        truth = np.vstack([_solve_row(wider, row, n_nodes) for row in fresh])
+        fresh = _seeded_draws(wider.ranges, n_fresh, seed, _BRANCH_EVAL, m_index)
+        truth = fdm_values(*fresh.T, wider.x0, wider.x1, n_nodes)
         curve.append((float(multiplier), _rmse(model.predict(fresh), truth)))
 
-    probe_rows = dataset.rows_for("test")
-    if probe_rows.size == 0:
-        probe_rows = np.arange(dataset.n_samples)
-    probes = dataset.inputs[probe_rows]
+    probes = dataset.inputs[dataset.probe_rows()]
     base = model.predict(probes)
 
     sensitivity = []
     for delta in perturbations:
         delta = float(delta)
-        worst = 0.0
+        deviations = []
         for axis in range(3):
             for sign in (+1.0, -1.0):
                 nudged = probes.copy()
                 nudged[:, axis] += sign * delta
-                worst = max(worst, float(np.max(np.abs(model.predict(nudged) - base))))
-        sensitivity.append((delta, worst))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    deviations.append(np.max(np.abs(model.predict(nudged) - base)))
+        # np.max, unlike the builtin max, propagates NaN.
+        sensitivity.append((delta, float(np.max(deviations))))
 
     fine_nodes = 2 * (n_nodes - 1) + 1
     fine_grid = np.linspace(space.x0, space.x1, fine_nodes)
-    fine_truth = np.vstack([_solve_row(space, row, fine_nodes) for row in probes])
+    fine_truth = fdm_values(*probes.T, space.x0, space.x1, fine_nodes)
     fine_pred = np.vstack([np.interp(fine_grid, dataset.grid, row) for row in base])
     transfer = _rmse(fine_pred, fine_truth)
 
@@ -436,24 +424,11 @@ def data_requirement_curve(
     rows = []
     for size in sizes:
         for seed in seeds:
-            sub_space = ParameterSpace(
-                g_range=space.g_range,
-                y0_range=space.y0_range,
-                y1_range=space.y1_range,
-                x0=space.x0,
-                x1=space.x1,
-                sampling=space.sampling,
-                n_samples=int(size),
-                master_seed=int(seed),
-            )
+            sub_space = replace(space, n_samples=int(size), master_seed=int(seed))
             dataset = generate_dataset(sub_space, n_nodes)
             dataset = split_dataset(dataset, ratios, seed=int(seed))
             model, _ = train_surrogate(dataset, layer_sizes, cfg, transfers=transfers)
-            test_rows = dataset.rows_for("test")
-            if test_rows.size == 0:
-                test_rows = np.arange(dataset.n_samples)
-            rmse = _rmse(model.predict(dataset.inputs[test_rows]), dataset.outputs[test_rows])
-            rows.append((int(size), int(seed), rmse))
+            rows.append((int(size), int(seed), _probe_rmse(model, dataset)))
     return rows
 
 
@@ -462,9 +437,5 @@ def architecture_sweep(dataset: SurrogateDataset, archs, cfg: ann.TrainConfig) -
     rows = []
     for layer_sizes in archs:
         model, report = train_surrogate(dataset, layer_sizes, cfg)
-        test_rows = dataset.rows_for("test")
-        if test_rows.size == 0:
-            test_rows = np.arange(dataset.n_samples)
-        rmse = _rmse(model.predict(dataset.inputs[test_rows]), dataset.outputs[test_rows])
-        rows.append((list(layer_sizes), rmse, report.epochs_run, report.wall_time))
+        rows.append((list(layer_sizes), _probe_rmse(model, dataset), report.epochs_run, report.wall_time))
     return rows

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -365,3 +366,29 @@ def test_breakeven_command(tmp_path, capsys):
     doc = read_json(tmp_path / "breakeven.json")
     assert doc["break_even"] == 152
     assert doc["total_time"] == pytest.approx(1600.0)
+
+
+def test_diverged_run_writes_strict_json_and_reports_not_finite(tmp_path, capsys):
+    # A unit learning rate makes steepest descent diverge; the run still
+    # completes, and its artifacts must stay valid RFC 8259 JSON.
+    doc = json.loads(Path("configs/surrogate_tanh.json").read_text())
+    doc["train"]["learning_rate"] = 1.0
+    run = tmp_path / "run"
+    assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(run)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    written = sorted(run.glob("*.json"))
+    assert {"eval_report.json", "train_report.json", "arch_sweep.json"} <= {p.name for p in written}
+    for path in written:
+        json.loads(path.read_text(), parse_constant=reject)
+    evald = json.loads((run / "eval_report.json").read_text())
+    assert "rmse_train" in evald["non_finite"] and evald["rmse_train"] is None
+
+    capsys.readouterr()
+    assert main(["report", "--run", str(run)]) == 0
+    text = capsys.readouterr().out
+    assert "train RMSE not finite" in text
+    assert "x4 -> not finite" in text
+    assert "absent (empty split)" not in text

@@ -95,6 +95,52 @@ def test_tridiagonal_inconsistent_lengths():
         TridiagonalSystem(sub=[1.0, 2.0], diag=[1.0, 1.0], sup=[1.0], rhs=[1.0, 1.0])
 
 
+def dominant_system_diagonals(rng, n):
+    sub = rng.uniform(-1.0, 1.0, size=n - 1)
+    sup = rng.uniform(-1.0, 1.0, size=n - 1)
+    diag = rng.uniform(2.5, 4.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    return sub, diag, sup
+
+
+def reference_thomas(sub, diag, sup, rhs):
+    """The Thomas recurrences on Python floats, one right-hand side."""
+    n = len(diag)
+    ratio, work = [0.0] * n, [0.0] * n
+    pivot = diag[0]
+    work[0] = rhs[0] / pivot
+    if n > 1:
+        ratio[0] = sup[0] / pivot
+    for i in range(1, n):
+        pivot = diag[i] - sub[i - 1] * ratio[i - 1]
+        work[i] = (rhs[i] - sub[i - 1] * work[i - 1]) / pivot
+        if i < n - 1:
+            ratio[i] = sup[i] / pivot
+    for i in reversed(range(n - 1)):
+        work[i] = work[i] - ratio[i] * work[i + 1]
+    return work
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 99])
+def test_tridiagonal_matrix_rhs_equals_column_solves(n):
+    rng = np.random.default_rng(n)
+    sub, diag, sup = dominant_system_diagonals(rng, n)
+    rhs = rng.uniform(-10.0, 10.0, size=(n, 5))
+    batch = solve_tridiagonal(TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
+    assert batch.shape == (n, 5)
+    for k in range(5):
+        column = solve_tridiagonal(TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs[:, k]))
+        npt.assert_array_equal(batch[:, k], column)
+        reference = reference_thomas(*(a.tolist() for a in (sub, diag, sup, rhs[:, k])))
+        npt.assert_array_equal(column, reference)
+
+
+def test_tridiagonal_rejects_bad_rhs_shapes():
+    sub, diag, sup = dominant_system_diagonals(np.random.default_rng(0), 4)
+    for rhs in (np.ones((4, 2, 2)), np.ones((5, 2)), np.ones((3, 2)), np.ones(5)):
+        with pytest.raises(ShapeError, match="rhs"):
+            TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+
+
 @given(n=st.integers(min_value=1, max_value=1000), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_tridiagonal_residual_on_dominant_systems(n, seed):

@@ -5,6 +5,7 @@ import pytest
 from poissonlab.errors import ParameterError
 from poissonlab.pde import (
     PoissonProblem,
+    fdm_values,
     solve_analytic,
     solve_fdm,
 )
@@ -96,6 +97,34 @@ def test_solver_determinism():
 def test_fdm_rejects_tiny_grid():
     with pytest.raises(ParameterError):
         solve_fdm(PoissonProblem(1.0, 0.0, 1.0, 0.0, 0.0), 2)
+
+
+@pytest.mark.parametrize("n_nodes", [3, 41, 201])
+def test_batched_fdm_rows_equal_single_solves(n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    g, y0, y1 = rng.uniform(-10.0, 10.0, size=(3, 17))
+    x0, x1 = -0.5, 2.25
+    batch = fdm_values(g, y0, y1, x0, x1, n_nodes)
+    assert batch.shape == (17, n_nodes)
+    for i in range(17):
+        single = solve_fdm(PoissonProblem(g[i], x0, x1, y0[i], y1[i]), n_nodes)
+        npt.assert_array_equal(batch[i], single.values)
+
+
+def test_batched_fdm_names_the_first_bad_sample():
+    g, y0, y1 = np.zeros((3, 4))
+    g[1] = float("nan")
+    y1[3] = float("inf")
+    with pytest.raises(ParameterError, match=r"^sample 1: g must be finite"):
+        fdm_values(g, y0, y1, 0.0, 1.0, 11)
+    g[1] = 0.0
+    with pytest.raises(ParameterError, match=r"^sample 3: y1 must be finite"):
+        fdm_values(g, y0, y1, 0.0, 1.0, 11)
+    # Domain and grid errors belong to no sample.
+    with pytest.raises(ParameterError, match=r"^need x0 < x1"):
+        fdm_values(g, y0, y1, 1.0, 1.0, 11)
+    with pytest.raises(ParameterError, match=r"^n_nodes"):
+        fdm_values(g, y0, y1, 0.0, 1.0, 2)
 
 
 def test_problem_validation():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from poissonlab.ann import TrainConfig
+from poissonlab.ann import MlpModel, TrainConfig
 from poissonlab.errors import ParameterError, ShapeError
 from poissonlab.pde import PoissonProblem, solve_analytic, solve_fdm
 from poissonlab.surrogate import (
@@ -93,8 +95,9 @@ def test_generate_grid_requires_perfect_cube():
         sample_inputs(space)
 
 
-def test_generate_failure_names_the_sample():
-    with pytest.raises(ParameterError, match="sample 0"):
+def test_generate_rejects_tiny_grid_by_name():
+    # A grid too small for the FDM belongs to no single sample.
+    with pytest.raises(ParameterError, match=r"^n_nodes must be >= 3"):
         generate_dataset(linear_space(n_samples=2), 2)
 
 
@@ -278,6 +281,21 @@ def test_evaluate_zero_perturbation_gives_zero_deviation(linear_run):
     table = dict(report.sensitivity_table)
     assert table[0.0] == 0.0
     assert table[0.01] > 0.0
+
+
+def test_evaluate_sensitivity_is_nan_for_a_nan_model(linear_run):
+    model, ds, space, _ = linear_run
+    weights = [w.copy() for w in model.mlp.weights]
+    weights[0][0, 0] = float("nan")
+    broken = SurrogateModel(
+        mlp=MlpModel(model.mlp.layer_sizes, weights, model.mlp.biases, model.mlp.transfers),
+        input_center=model.input_center,
+        input_scale=model.input_scale,
+        grid=model.grid,
+    )
+    report = evaluate(broken, ds, space, (1.0,), (0.0, 0.01), n_fresh=4, seed=1)
+    assert [d for d, _ in report.sensitivity_table] == [0.0, 0.01]
+    assert all(math.isnan(v) for _, v in report.sensitivity_table)
 
 
 def test_evaluate_reports_bc_violation(linear_run):
