@@ -72,8 +72,11 @@ class MlpModel:
         n_layers = len(self.layer_sizes) - 1
         if not (len(self.weights) == len(self.biases) == len(self.transfers) == n_layers):
             raise ShapeError("weights, biases and transfers must have one entry per layer")
-        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=float) for b in self.biases]
+        try:
+            self.weights = [np.asarray(w, dtype=float) for w in self.weights]
+            self.biases = [np.asarray(b, dtype=float) for b in self.biases]
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"weights and biases must be rectangular arrays of numbers: {exc}") from exc
         for k in range(n_layers):
             want = (self.layer_sizes[k + 1], self.layer_sizes[k])
             if self.weights[k].shape != want:

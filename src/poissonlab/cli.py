@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ class _Artifacts:
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
-    cfg.require("problems")
+    cfg.require("problem")
     out = _Artifacts(out_dir)
     combined = []
     for i, problem in enumerate(cfg.problems):
@@ -93,14 +94,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
 def cmd_fit(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     cfg.require("regression")
     r = cfg.regression
-    dataset = regress.generate_synthetic(
-        n=r.n,
-        true_w=r.true_w,
-        true_b=r.true_b,
-        x_range=r.x_range,
-        noise_amplitude=r.noise_amplitude,
-        seed=r.seed,
-    )
+    dataset = regress.generate_synthetic(**asdict(r))
     model = regress.fit_least_squares(dataset)
 
     out = _Artifacts(out_dir)
@@ -120,9 +114,7 @@ def cmd_fit(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
 def _build_ann_model(cfg: ExperimentConfig) -> ann.MlpModel:
     spec = cfg.ann_spec
     transfers = spec.transfers or ann.default_transfers(spec.layer_sizes)
-    if spec.init_weights is not None or spec.init_biases is not None:
-        if spec.init_weights is None or spec.init_biases is None:
-            raise ConfigError("ann: init_weights and init_biases must be given together")
+    if spec.init_weights is not None:
         return ann.MlpModel(
             layer_sizes=spec.layer_sizes,
             weights=spec.init_weights,
@@ -140,14 +132,7 @@ def _build_ann_model(cfg: ExperimentConfig) -> ann.MlpModel:
 def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     cfg.require("regression", "ann", "train")
     r = cfg.regression
-    dataset = regress.generate_synthetic(
-        n=r.n,
-        true_w=r.true_w,
-        true_b=r.true_b,
-        x_range=r.x_range,
-        noise_amplitude=r.noise_amplitude,
-        seed=r.seed,
-    )
+    dataset = regress.generate_synthetic(**asdict(r))
     model = _build_ann_model(cfg)
     trained, report = ann.train_steepest_descent(model, dataset.inputs, dataset.targets, cfg.train)
 
@@ -201,7 +186,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
         n_predictions=cfg.cost_spec.n_predictions,
         repetitions=cfg.cost_spec.repetitions,
     )
-    n_star = costs.break_even(ledger)
+    verdict = costs.summary(ledger)
 
     out = _Artifacts(out_dir)
     out.csv(
@@ -252,8 +237,8 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
         rows = surrogate.data_requirement_curve(
             space,
             cfg.n_nodes,
-            cfg.data_curve["sizes"],
-            cfg.data_curve["seeds"],
+            cfg.data_curve.sizes,
+            cfg.data_curve.seeds,
             layer_sizes,
             cfg.train,
             ratios=cfg.split_ratios,
@@ -264,7 +249,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
                 "n_samples": size,
                 "rmse_test": float(np.mean([r[2] for r in rows if r[0] == size])),
             }
-            for size in cfg.data_curve["sizes"]
+            for size in cfg.data_curve.sizes
         ]
         out.json("data_curve.json", {"rows": rows, "seed_means": seed_means})
         if "csv" in formats:
@@ -292,15 +277,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
             deterministic=False,
         )
 
-    out.json(
-        "cost_ledger.json",
-        {
-            **ledger.to_dict(),
-            "break_even": "never" if n_star is None else n_star,
-            "total_time": costs.total_time(ledger),
-        },
-        deterministic=False,
-    )
+    out.json("cost_ledger.json", verdict, deterministic=False)
 
     out.manifest(
         cfg.raw,
@@ -311,43 +288,26 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
             "eval_seed": cfg.eval_spec.seed,
         },
         timings={
-            "t_dg": ledger.t_dg,
-            "t_nt": ledger.t_nt,
-            "t_pr": ledger.t_pr,
-            "t_solve": ledger.t_solve,
-            "total_time": costs.total_time(ledger),
-            "break_even": "never" if n_star is None else n_star,
+            key: verdict[key]
+            for key in ("t_dg", "t_nt", "t_pr", "t_solve", "total_time", "break_even")
         },
     )
     rmse = eval_report.rmse_test
     print(
         f"surrogate run complete: test RMSE "
         f"{'absent' if rmse is None else format(rmse, '.6g')}, "
-        f"break-even N {'never' if n_star is None else n_star}; artifacts in {out_dir}"
+        f"break-even N {verdict['break_even']}; artifacts in {out_dir}"
     )
 
 
 def cmd_breakeven(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     cfg.require("ledger")
-    spec = cfg.ledger
-    ledger = costs.CostLedger(
-        t_dg=spec.t_dg,
-        t_nt=spec.t_nt,
-        t_pr=spec.t_pr,
-        t_solve=spec.t_solve,
-        n_predictions=spec.n_predictions,
-    )
-    n_star = costs.break_even(ledger)
-    doc = {
-        **ledger.to_dict(),
-        "break_even": "never" if n_star is None else n_star,
-        "total_time": costs.total_time(ledger),
-    }
+    verdict = costs.summary(cfg.ledger)
     out = _Artifacts(out_dir)
-    out.json("breakeven.json", doc)
+    out.json("breakeven.json", verdict)
     out.manifest(cfg.raw, seeds={}, timings={})
-    print(f"break-even N : {'never' if n_star is None else n_star}")
-    print(f"total time at N={ledger.n_predictions}: {costs.total_time(ledger):.6g} s")
+    print(f"break-even N : {verdict['break_even']}")
+    print(f"total time at N={verdict['n_predictions']}: {verdict['total_time']:.6g} s")
 
 
 COMMANDS = {

@@ -1,99 +1,120 @@
-"""Strict JSON experiment configs.
+"""Strict JSON experiment configs, declared once in `SECTIONS`.
 
-A config is a single JSON object; unknown keys anywhere are errors, and
-every seed a run consumes must be spelled out. Section parsers return
-the package's domain objects so the CLI stays thin.
+`SECTIONS` maps each top-level key to the `ExperimentConfig` attribute
+it fills and the reader of its value. A `_Section` reads an object into
+a domain object (such as `TrainConfig`) or a small frozen spec, with one
+reader per key named after that object's field. A key is optional only
+when the object has a default for it. Seed keys are read by `_seed` and
+always required, so every seed a run consumes is spelled out;
+`override_seeds` and `ExperimentConfig.require` read the same table.
+
+Readers check a value's kind before using it. Numbers must be finite:
+`json.loads` accepts `NaN` and `Infinity` and reads `1e309` as inf.
+Unknown keys and every other rejection raise `ConfigError` with the
+key's path, such as `ledger.t_dg`; a domain object's `ParameterError`
+is re-raised as one with its section's path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .ann import TRANSFERS, TrainConfig
-from .errors import ConfigError
+from .costs import CostLedger
+from .errors import ConfigError, ParameterError
 from .pde import DEFAULT_N_NODES, PoissonProblem
 from .surrogate import SAMPLINGS, ParameterSpace
 
-TOP_LEVEL_KEYS = {
-    "problem",
-    "problems",
-    "n_nodes",
-    "regression",
-    "ann",
-    "train",
-    "space",
-    "split",
-    "arch",
-    "arch_sweep",
-    "data_curve",
-    "eval",
-    "costs",
-    "ledger",
-    "output",
-}
 
-
-def _check_keys(obj: dict, path: str, required: set, optional: set = frozenset()):
+def _check_keys(obj, path: str, known, required) -> None:
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = set(obj) - required - set(optional)
+        raise ConfigError(f"{path}: expected an object, got {obj!r}")
+    unknown = set(obj) - set(known)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = set(required) - set(obj)
     if missing:
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
-def _number(obj: dict, path: str, key: str) -> float:
-    value = obj[key]
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
-def _integer(obj: dict, path: str, key: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+def _at_least(minimum: float):
+    def read(value, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+        return value
+
+    return read
+
+
+_integer = _at_least(-math.inf)
+_width = _at_least(1)
+# `override_seeds` replaces the value of every key read by `_seed`.
+_seed = _at_least(0)
+
+
+def _text(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
     return value
 
 
-def _interval(obj: dict, path: str, key: str) -> tuple:
-    value = obj[key]
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{path}.{key}: expected [lo, hi]")
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
-        raise ConfigError(f"{path}.{key}: expected numeric bounds")
-    return (float(value[0]), float(value[1]))
+def _one_of(*choices: str):
+    def read(value, path: str) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{path}: expected one of {list(choices)}, got {value!r}")
+        return value
+
+    return read
 
 
-def _int_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of integers")
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in value):
-        raise ConfigError(f"{path}: expected integers")
-    return list(value)
+def _list_of(item, min_len: int = 0, max_len: float = math.inf):
+    def read(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if not min_len <= len(value) <= max_len:
+            raise ConfigError(f"{path}: expected {min_len}..{max_len} entries, got {len(value)}")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read
 
 
-def _number_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of numbers")
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
-        raise ConfigError(f"{path}: expected numbers")
-    return [float(v) for v in value]
+_interval = _list_of(_number, 2, 2)
 
 
-def _parse_problem(obj: dict, path: str) -> PoissonProblem:
-    _check_keys(obj, path, {"g", "x0", "x1", "y0", "y1"})
-    return PoissonProblem(
-        g=_number(obj, path, "g"),
-        x0=_number(obj, path, "x0"),
-        x1=_number(obj, path, "x1"),
-        y0=_number(obj, path, "y0"),
-        y1=_number(obj, path, "y1"),
-    )
+class _Section:
+    """Reads a JSON object into `build(**fields)`, one reader per key."""
+
+    def __init__(self, build, **readers):
+        self.build = build
+        self.readers = readers
+        defaults = {f.name for f in fields(build) if f.default is not MISSING}
+        self.seed_keys = tuple(key for key, reader in readers.items() if reader is _seed)
+        self.required = (set(readers) - defaults) | set(self.seed_keys)
+
+    def __call__(self, value, path: str):
+        _check_keys(value, path, self.readers, self.required)
+        kwargs = {k: read(value[k], f"{path}.{k}") for k, read in self.readers.items() if k in value}
+        try:
+            return self.build(**kwargs)
+        except ParameterError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -109,16 +130,28 @@ class RegressionSpec:
 @dataclass(frozen=True)
 class AnnSpec:
     layer_sizes: tuple
-    transfers: tuple | None
-    init_weights: list | None
-    init_biases: list | None
+    transfers: tuple | None = None
+    init_weights: tuple | None = None
+    init_biases: tuple | None = None
+
+    def __post_init__(self):
+        if self.transfers is not None and len(self.transfers) != len(self.layer_sizes) - 1:
+            raise ParameterError("transfers: need one tag per layer")
+        if (self.init_weights is None) != (self.init_biases is None):
+            raise ParameterError("init_weights and init_biases must be given together")
+
+
+@dataclass(frozen=True)
+class SplitSpec:
+    ratios: tuple
+    seed: int
 
 
 @dataclass(frozen=True)
 class ArchSpec:
     hidden: tuple
-    hidden_transfer: str
-    output_transfer: str
+    hidden_transfer: str = "tanh"
+    output_transfer: str = "purelin"
 
     def layer_sizes(self, n_out: int) -> tuple:
         return (3, *self.hidden, n_out)
@@ -128,11 +161,17 @@ class ArchSpec:
 
 
 @dataclass(frozen=True)
+class DataCurveSpec:
+    sizes: tuple
+    seeds: tuple
+
+
+@dataclass(frozen=True)
 class EvalSpec:
     multipliers: tuple
     perturbations: tuple
-    n_fresh: int
     seed: int
+    n_fresh: int = 32
 
 
 @dataclass(frozen=True)
@@ -142,18 +181,49 @@ class CostSpec:
 
 
 @dataclass(frozen=True)
-class LedgerSpec:
-    t_dg: float
-    t_nt: float
-    t_pr: float
-    t_solve: float
-    n_predictions: int
-
-
-@dataclass(frozen=True)
 class OutputSpec:
     directory: str
     formats: tuple = ("csv", "json")
+
+
+_transfer = _one_of(*TRANSFERS)
+_problem = _Section(PoissonProblem, g=_number, x0=_number, x1=_number, y0=_number, y1=_number)
+
+# Top-level key -> (ExperimentConfig attribute, reader). Keys that fill
+# the same attribute (`problem`, `problems`) are alternatives.
+SECTIONS = {
+    "problem": ("problems", lambda value, path: (_problem(value, path),)),
+    "problems": ("problems", _list_of(_problem, min_len=1)),
+    "n_nodes": ("n_nodes", _at_least(2)),
+    "regression": ("regression", _Section(
+        RegressionSpec, n=_integer, true_w=_number, true_b=_number, x_range=_interval,
+        noise_amplitude=_number, seed=_seed)),
+    "ann": ("ann_spec", _Section(
+        AnnSpec, layer_sizes=_list_of(_width, min_len=2), transfers=_list_of(_transfer),
+        init_weights=_list_of(_list_of(_list_of(_number))), init_biases=_list_of(_list_of(_number)))),
+    "train": ("train", _Section(
+        TrainConfig, learning_rate=_number, stop_tolerance=_number, max_epochs=_integer,
+        init_seed=_seed, init_scheme=_one_of("uniform", "zeros"))),
+    "space": ("space", _Section(
+        ParameterSpace, g_range=_interval, y0_range=_interval, y1_range=_interval, x0=_number,
+        x1=_number, sampling=_one_of(*SAMPLINGS), n_samples=_integer, master_seed=_seed)),
+    "split": ("split", _Section(SplitSpec, ratios=_list_of(_number, 3, 3), seed=_seed)),
+    "arch": ("arch", _Section(
+        ArchSpec, hidden=_list_of(_width), hidden_transfer=_transfer, output_transfer=_transfer)),
+    "arch_sweep": ("arch_sweep", _list_of(_list_of(_width), min_len=1)),
+    # data_curve.seeds are the master seeds of the curve's runs, not replaced by --seed.
+    "data_curve": ("data_curve", _Section(
+        DataCurveSpec, sizes=_list_of(_integer, min_len=1), seeds=_list_of(_at_least(0), min_len=1))),
+    "eval": ("eval_spec", _Section(
+        EvalSpec, multipliers=_list_of(_number, min_len=1),
+        perturbations=_list_of(_number, min_len=1), seed=_seed, n_fresh=_integer)),
+    "costs": ("cost_spec", _Section(CostSpec, repetitions=_integer, n_predictions=_integer)),
+    "ledger": ("ledger", _Section(
+        CostLedger, t_dg=_number, t_nt=_number, t_pr=_number, t_solve=_number,
+        n_predictions=_integer)),
+    "output": ("output", _Section(
+        OutputSpec, directory=_text, formats=_list_of(_one_of("csv", "json"), min_len=1))),
+}
 
 
 @dataclass
@@ -161,231 +231,47 @@ class ExperimentConfig:
     """Parsed config plus the raw document for manifests and round-trips."""
 
     raw: dict
-    problems: list | None = None
+    problems: tuple | None = None
     n_nodes: int = DEFAULT_N_NODES
     regression: RegressionSpec | None = None
     ann_spec: AnnSpec | None = None
     train: TrainConfig | None = None
     space: ParameterSpace | None = None
-    split_ratios: tuple | None = None
-    split_seed: int | None = None
+    split: SplitSpec | None = None
     arch: ArchSpec | None = None
-    arch_sweep: list | None = None
-    data_curve: dict | None = None
+    arch_sweep: tuple | None = None
+    data_curve: DataCurveSpec | None = None
     eval_spec: EvalSpec | None = None
     cost_spec: CostSpec | None = None
-    ledger: LedgerSpec | None = None
+    ledger: CostLedger | None = None
     output: OutputSpec | None = None
 
-    def require(self, *sections: str) -> None:
-        names = {
-            "problems": self.problems,
-            "regression": self.regression,
-            "ann": self.ann_spec,
-            "train": self.train,
-            "space": self.space,
-            "split": self.split_ratios,
-            "arch": self.arch,
-            "eval": self.eval_spec,
-            "costs": self.cost_spec,
-            "ledger": self.ledger,
-        }
-        for section in sections:
-            if names[section] is None:
-                label = "problem" if section == "problems" else section
-                raise ConfigError(f"config is missing the required `{label}` section")
+    @property
+    def split_ratios(self) -> tuple | None:
+        return None if self.split is None else self.split.ratios
+
+    @property
+    def split_seed(self) -> int | None:
+        return None if self.split is None else self.split.seed
+
+    def require(self, *keys: str) -> None:
+        """Raise ConfigError unless every named top-level section was given."""
+        for key in keys:
+            if getattr(self, SECTIONS[key][0]) is None:
+                raise ConfigError(f"config is missing the required `{key}` section")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    _check_keys(doc, "config", set(), TOP_LEVEL_KEYS)
-    if "problem" in doc and "problems" in doc:
-        raise ConfigError("config: give either `problem` or `problems`, not both")
+    _check_keys(doc, "config", SECTIONS, ())
     cfg = ExperimentConfig(raw=doc)
-
-    if "problem" in doc:
-        cfg.problems = [_parse_problem(doc["problem"], "problem")]
-    elif "problems" in doc:
-        if not isinstance(doc["problems"], list) or not doc["problems"]:
-            raise ConfigError("problems: expected a non-empty list")
-        cfg.problems = [
-            _parse_problem(p, f"problems[{i}]") for i, p in enumerate(doc["problems"])
-        ]
-
-    if "n_nodes" in doc:
-        cfg.n_nodes = _integer(doc, "config", "n_nodes")
-        if cfg.n_nodes < 2:
-            raise ConfigError("config.n_nodes: must be >= 2")
-
-    if "regression" in doc:
-        section = doc["regression"]
-        path = "regression"
-        _check_keys(section, path, {"n", "true_w", "true_b", "x_range", "noise_amplitude", "seed"})
-        cfg.regression = RegressionSpec(
-            n=_integer(section, path, "n"),
-            true_w=_number(section, path, "true_w"),
-            true_b=_number(section, path, "true_b"),
-            x_range=_interval(section, path, "x_range"),
-            noise_amplitude=_number(section, path, "noise_amplitude"),
-            seed=_integer(section, path, "seed"),
-        )
-
-    if "ann" in doc:
-        section = doc["ann"]
-        path = "ann"
-        _check_keys(section, path, {"layer_sizes"}, {"transfers", "init_weights", "init_biases"})
-        layer_sizes = tuple(_int_list(section["layer_sizes"], f"{path}.layer_sizes"))
-        if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
-            raise ConfigError(f"{path}.layer_sizes: need at least two sizes, all >= 1")
-        transfers = None
-        if "transfers" in section:
-            tags = section["transfers"]
-            if not isinstance(tags, list) or len(tags) != len(layer_sizes) - 1:
-                raise ConfigError(f"{path}.transfers: need one tag per layer")
-            for tag in tags:
-                if tag not in TRANSFERS:
-                    raise ConfigError(f"{path}.transfers: unknown transfer {tag!r}")
-            transfers = tuple(tags)
-        cfg.ann_spec = AnnSpec(
-            layer_sizes=layer_sizes,
-            transfers=transfers,
-            init_weights=section.get("init_weights"),
-            init_biases=section.get("init_biases"),
-        )
-
-    if "train" in doc:
-        section = doc["train"]
-        path = "train"
-        _check_keys(
-            section,
-            path,
-            {"learning_rate", "stop_tolerance", "max_epochs", "init_seed"},
-            {"init_scheme"},
-        )
-        cfg.train = TrainConfig(
-            learning_rate=_number(section, path, "learning_rate"),
-            stop_tolerance=_number(section, path, "stop_tolerance"),
-            max_epochs=_integer(section, path, "max_epochs"),
-            init_seed=_integer(section, path, "init_seed"),
-            init_scheme=section.get("init_scheme", "uniform"),
-        )
-
-    if "space" in doc:
-        section = doc["space"]
-        path = "space"
-        _check_keys(
-            section,
-            path,
-            {"g_range", "y0_range", "y1_range", "x0", "x1", "sampling", "n_samples", "master_seed"},
-        )
-        if section["sampling"] not in SAMPLINGS:
-            raise ConfigError(f"{path}.sampling: expected one of {SAMPLINGS}")
-        cfg.space = ParameterSpace(
-            g_range=_interval(section, path, "g_range"),
-            y0_range=_interval(section, path, "y0_range"),
-            y1_range=_interval(section, path, "y1_range"),
-            x0=_number(section, path, "x0"),
-            x1=_number(section, path, "x1"),
-            sampling=section["sampling"],
-            n_samples=_integer(section, path, "n_samples"),
-            master_seed=_integer(section, path, "master_seed"),
-        )
-
-    if "split" in doc:
-        section = doc["split"]
-        path = "split"
-        _check_keys(section, path, {"ratios", "seed"})
-        ratios = _number_list(section["ratios"], f"{path}.ratios")
-        if len(ratios) != 3:
-            raise ConfigError(f"{path}.ratios: expected three ratios")
-        cfg.split_ratios = tuple(ratios)
-        cfg.split_seed = _integer(section, path, "seed")
-
-    if "arch" in doc:
-        section = doc["arch"]
-        path = "arch"
-        _check_keys(section, path, {"hidden"}, {"hidden_transfer", "output_transfer"})
-        hidden = section["hidden"]
-        if not isinstance(hidden, list) or any(
-            isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in hidden
-        ):
-            raise ConfigError(f"{path}.hidden: expected a list of integers >= 1")
-        for key in ("hidden_transfer", "output_transfer"):
-            if key in section and section[key] not in TRANSFERS:
-                raise ConfigError(f"{path}.{key}: unknown transfer {section[key]!r}")
-        cfg.arch = ArchSpec(
-            hidden=tuple(hidden),
-            hidden_transfer=section.get("hidden_transfer", "tanh"),
-            output_transfer=section.get("output_transfer", "purelin"),
-        )
-
-    if "arch_sweep" in doc:
-        sweep = doc["arch_sweep"]
-        if not isinstance(sweep, list) or not sweep:
-            raise ConfigError("arch_sweep: expected a non-empty list of hidden-layer lists")
-        parsed = []
-        for i, hidden in enumerate(sweep):
-            if not isinstance(hidden, list) or any(
-                isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in hidden
-            ):
-                raise ConfigError(f"arch_sweep[{i}]: expected a list of integers >= 1")
-            parsed.append(tuple(hidden))
-        cfg.arch_sweep = parsed
-
-    if "data_curve" in doc:
-        section = doc["data_curve"]
-        path = "data_curve"
-        _check_keys(section, path, {"sizes", "seeds"})
-        cfg.data_curve = {
-            "sizes": _int_list(section["sizes"], f"{path}.sizes"),
-            "seeds": _int_list(section["seeds"], f"{path}.seeds"),
-        }
-
-    if "eval" in doc:
-        section = doc["eval"]
-        path = "eval"
-        _check_keys(section, path, {"multipliers", "perturbations", "seed"}, {"n_fresh"})
-        cfg.eval_spec = EvalSpec(
-            multipliers=tuple(_number_list(section["multipliers"], f"{path}.multipliers")),
-            perturbations=tuple(_number_list(section["perturbations"], f"{path}.perturbations")),
-            n_fresh=_integer(section, path, "n_fresh") if "n_fresh" in section else 32,
-            seed=_integer(section, path, "seed"),
-        )
-
-    if "costs" in doc:
-        section = doc["costs"]
-        path = "costs"
-        _check_keys(section, path, {"repetitions", "n_predictions"})
-        cfg.cost_spec = CostSpec(
-            repetitions=_integer(section, path, "repetitions"),
-            n_predictions=_integer(section, path, "n_predictions"),
-        )
-
-    if "ledger" in doc:
-        section = doc["ledger"]
-        path = "ledger"
-        _check_keys(section, path, {"t_dg", "t_nt", "t_pr", "t_solve", "n_predictions"})
-        cfg.ledger = LedgerSpec(
-            t_dg=_number(section, path, "t_dg"),
-            t_nt=_number(section, path, "t_nt"),
-            t_pr=_number(section, path, "t_pr"),
-            t_solve=_number(section, path, "t_solve"),
-            n_predictions=_integer(section, path, "n_predictions"),
-        )
-
-    if "output" in doc:
-        section = doc["output"]
-        path = "output"
-        _check_keys(section, path, {"directory"}, {"formats"})
-        formats = ("csv", "json")
-        if "formats" in section:
-            tags = section["formats"]
-            if not isinstance(tags, list) or not tags or any(t not in ("csv", "json") for t in tags):
-                raise ConfigError(f"{path}.formats: expected a subset of ['csv', 'json']")
-            formats = tuple(tags)
-        if not isinstance(section["directory"], str) or not section["directory"]:
-            raise ConfigError(f"{path}.directory: expected a non-empty string")
-        cfg.output = OutputSpec(directory=section["directory"], formats=formats)
-
+    given = {}
+    for key, (attr, reader) in SECTIONS.items():
+        if key not in doc:
+            continue
+        if attr in given:
+            raise ConfigError(f"config: give either `{given[attr]}` or `{key}`, not both")
+        given[attr] = key
+        setattr(cfg, attr, reader(doc[key], key))
     return cfg
 
 
@@ -397,21 +283,16 @@ def load_config(path) -> ExperimentConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
     return parse_config(doc)
 
 
 def override_seeds(doc: dict, seed: int) -> dict:
     """Replace every seed field in a raw config document with `seed`."""
     out = json.loads(json.dumps(doc))
-    for section, key in (
-        ("regression", "seed"),
-        ("train", "init_seed"),
-        ("space", "master_seed"),
-        ("split", "seed"),
-        ("eval", "seed"),
-    ):
-        if section in out and isinstance(out[section], dict) and key in out[section]:
-            out[section][key] = seed
+    for key, (_, reader) in SECTIONS.items():
+        section = out.get(key)
+        if isinstance(reader, _Section) and isinstance(section, dict):
+            for name in reader.seed_keys:
+                if name in section:
+                    section[name] = seed
     return out

@@ -89,6 +89,19 @@ def break_even(ledger: CostLedger) -> int | None:
     return n
 
 
+def summary(ledger: CostLedger) -> dict:
+    """The ledger's fields plus its verdict: `break_even` ("never" when no N
+    pays off) and `total_time` at the ledger's N. Every artifact and
+    message that states a break-even N takes it from here.
+    """
+    n_star = break_even(ledger)
+    return {
+        **ledger.to_dict(),
+        "break_even": "never" if n_star is None else n_star,
+        "total_time": total_time(ledger),
+    }
+
+
 def measure(
     t_dg: float,
     t_nt: float,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .costs import CostLedger, break_even, total_time
 from .fileio import read_json
 from .manifest import load_manifest
 
@@ -156,21 +155,11 @@ def build_report(run_dir) -> str:
     if eval_doc is not None:
         lines.append(f"    physics check (BC gap)    : mean {_num(eval_doc['bc_violation_mean'], '.6g')}")
     if ledger_doc is not None:
-        ledger = CostLedger(
-            t_dg=ledger_doc["t_dg"],
-            t_nt=ledger_doc["t_nt"],
-            t_pr=ledger_doc["t_pr"],
-            t_solve=ledger_doc["t_solve"],
-            n_predictions=ledger_doc["n_predictions"],
-            repetitions=ledger_doc.get("repetitions", 1),
-        )
-        n_star = break_even(ledger)
-        verdict = "never" if n_star is None else str(n_star)
         lines.append(
-            f"    break-even N              : {verdict} "
-            f"(t_pr {_fmt_seconds(ledger.t_pr)} vs t_solve {_fmt_seconds(ledger.t_solve)})"
+            f"    break-even N              : {ledger_doc['break_even']} "
+            f"(t_pr {_fmt_seconds(ledger_doc['t_pr'])} vs t_solve {_fmt_seconds(ledger_doc['t_solve'])})"
         )
         lines.append(
-            f"    total time at N={ledger.n_predictions:<9}: {_fmt_seconds(total_time(ledger))}"
+            f"    total time at N={ledger_doc['n_predictions']:<9}: {_fmt_seconds(ledger_doc['total_time'])}"
         )
     return "\n".join(lines) + "\n"

@@ -79,8 +79,14 @@ def test_forward_shape_mismatch():
 
 
 def test_model_shape_validation():
-    with pytest.raises(ShapeError):
-        MlpModel(layer_sizes=(2, 1), weights=[[[1.0]]], biases=[[0.0]], transfers=("purelin",))
+    for layer_sizes, weights, biases in [
+        ((2, 1), [[[1.0]]], [[0.0]]),
+        ((2, 1), [[[1.0], [1.0, 2.0]]], [[0.0]]),  # ragged rows
+        ((1, 1), [[["a"]]], [[0.0]]),
+        ((1, 1), [[[1.0]]], [["b"]]),
+    ]:
+        with pytest.raises(ShapeError):
+            MlpModel(layer_sizes=layer_sizes, weights=weights, biases=biases, transfers=("purelin",))
 
 
 def test_model_json_round_trip():

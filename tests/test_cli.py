@@ -129,6 +129,48 @@ def test_exit_two_on_range_wider_than_float(tmp_path, capsys):
     assert "g_range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, source, section, key, literal",
+    [
+        ("breakeven", "configs/breakeven_demo.json", "ledger", "t_dg", "1e309"),
+        ("breakeven", "configs/breakeven_demo.json", "ledger", "t_pr", "NaN"),
+        ("fit", "configs/fit_demo.json", "regression", "noise_amplitude", "Infinity"),
+    ],
+    ids=["t_dg-1e309", "t_pr-NaN", "noise-Infinity"],
+)
+def test_exit_two_on_non_finite_number(tmp_path, capsys, command, source, section, key, literal):
+    # json.loads accepts these literals (1e309 reads as inf); the config must not.
+    doc = json.loads(Path(source).read_text())
+    doc[section][key] = "NON_FINITE"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"NON_FINITE"', literal))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{section}.{key}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sections, code",
+    [
+        ({"arch": {"hidden": [8], "hidden_transfer": ["tanh"]}}, 2),
+        ({"ann": {"transfers": [["tanh"]]}}, 2),
+        ({"ann": {"init_weights": 5}}, 2),
+        ({"ann": {"init_weights": [[["a"]]]}}, 2),
+        ({"ann": {"init_biases": None}}, 2),  # init_weights without init_biases
+        ({"ann": {"init_weights": [[[1.0], [1.0, 2.0]]]}}, 3),  # ragged
+    ],
+    ids=["arch-transfer-list", "ann-transfer-list", "weights-number", "weights-text",
+         "weights-alone", "weights-ragged"],
+)
+def test_train_ann_wrong_kind_values_exit_cleanly(tmp_path, capsys, sections, code):
+    doc = json.loads(Path("configs/train_ann_demo.json").read_text())
+    for name, patch in sections.items():
+        merged = {**doc.get(name, {}), **patch}
+        doc[name] = {k: v for k, v in merged.items() if v is not None}
+    path = write_config(tmp_path, doc)
+    assert main(["train-ann", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    assert ("config error" if code == 2 else "numerical failure") in capsys.readouterr().err
+
+
 def test_exit_four_on_missing_config(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 4
     assert "missing input" in capsys.readouterr().err

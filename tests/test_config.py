@@ -1,0 +1,91 @@
+"""Config parsing over the demo configs: every malformed leaf is a clean
+rejection, and --seed replaces exactly the seed keys."""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+from poissonlab.cli import main
+from poissonlab.config import override_seeds, parse_config
+from poissonlab.errors import ConfigError
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+# The command a demo config runs, from the first of these sections it holds.
+COMMAND_BY_SECTION = (
+    ("space", "surrogate"),
+    ("ann", "train-ann"),
+    ("regression", "fit"),
+    ("ledger", "breakeven"),
+    ("problems", "solve"),
+)
+
+# Every leaf of every demo config is replaced by each of these in turn.
+# 1e309 must reach the parser as that literal (json.loads reads it as inf).
+REPLACEMENTS = (True, "x", None, [], {}, [["x"]], "OUT_OF_RANGE", float("nan"))
+
+
+def leaves(node, path=()):
+    """Paths to every scalar and every empty list or object under node."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        children = []
+    if not children:
+        yield path
+    for key, child in children:
+        yield from leaves(child, (*path, key))
+
+
+def at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def replaced(doc, path, value) -> str:
+    out = copy.deepcopy(doc)
+    at(out, path[:-1])[path[-1]] = value
+    return json.dumps(out).replace('"OUT_OF_RANGE"', "1e309")
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_every_leaf_mutation_is_a_clean_exit(config, tmp_path, capsys):
+    doc = json.loads(config.read_text())
+    command = next(c for section, c in COMMAND_BY_SECTION if section in doc)
+    path = tmp_path / "config.json"
+    for leaf in leaves(doc):
+        for value in REPLACEMENTS:
+            text = replaced(doc, leaf, value)
+            case = f"{config.name} {'.'.join(map(str, leaf))} = {value!r}"
+            if command == "surrogate":
+                # Running the whole pipeline per mutation would be too slow.
+                try:
+                    parse_config(json.loads(text))
+                except ConfigError:
+                    pass
+                continue
+            path.write_text(text)
+            code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+            assert code in (0, 2, 3, 4), case
+    capsys.readouterr()
+
+
+def test_seed_override_replaces_exactly_the_seed_keys():
+    doc = {}
+    for config in CONFIGS:
+        doc.update(json.loads(config.read_text()))
+    assert {"regression", "train", "space", "split", "eval", "data_curve"} <= set(doc)
+    parse_config(doc)
+
+    out = override_seeds(doc, 99)
+    changed = {".".join(map(str, leaf)) for leaf in leaves(doc) if at(doc, leaf) != at(out, leaf)}
+    assert changed == {"regression.seed", "train.init_seed", "space.master_seed", "split.seed", "eval.seed"}
+    assert out["data_curve"]["seeds"] == doc["data_curve"]["seeds"]
+    cfg = parse_config(out)
+    assert (cfg.regression.seed, cfg.train.init_seed, cfg.space.master_seed) == (99, 99, 99)
+    assert (cfg.split_seed, cfg.eval_spec.seed) == (99, 99)
