@@ -22,25 +22,25 @@ from .errors import ParameterError, ShapeError
 
 @dataclass(frozen=True)
 class TransferFunction:
-    """Elementwise activation f and its derivative f'."""
+    """Elementwise activation a = f(n) and its derivative f' written in terms of a.
+
+    `apply` may overwrite its argument and returns a. `derivative` is None
+    when f' is 1 everywhere (purelin): backpropagation then skips the
+    multiply, which changes nothing because x * 1.0 == x exactly.
+    """
 
     tag: str
     apply: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-
-
-def _tanh_derivative(n):
-    t = np.tanh(n)
-    return 1.0 - t * t
+    derivative: Callable[[np.ndarray], np.ndarray] | None
 
 
 TRANSFERS = {
-    "purelin": TransferFunction(
-        tag="purelin",
-        apply=lambda n: np.asarray(n, dtype=float),
-        derivative=lambda n: np.ones_like(np.asarray(n, dtype=float)),
+    "purelin": TransferFunction(tag="purelin", apply=lambda n: n, derivative=None),
+    "tanh": TransferFunction(
+        tag="tanh",
+        apply=lambda n: np.tanh(n, out=n),
+        derivative=lambda a: 1.0 - a * a,
     ),
-    "tanh": TransferFunction(tag="tanh", apply=np.tanh, derivative=_tanh_derivative),
 }
 
 
@@ -193,20 +193,19 @@ def _as_batch(arr, width: int, name: str) -> np.ndarray:
 def predict_batch(model: MlpModel, inputs) -> np.ndarray:
     """Forward pass over rows of inputs; returns (n_samples, n_out)."""
     a0 = _as_batch(inputs, model.layer_sizes[0], "inputs")
-    return _forward_trace(model, a0)[0][-1]
+    return _forward_trace(model, a0)[-1]
 
 
-def _forward_trace(model: MlpModel, a0: np.ndarray):
-    """Activations entering each layer plus the pre-activation sums."""
+def _forward_trace(model: MlpModel, a0: np.ndarray) -> list:
+    """The activation entering each layer, then the output: [a0, ..., aL]."""
     activations = [a0]
-    sums = []
     a = a0
     for w, b, transfer in zip(model.weights, model.biases, model._transfer_fns):
-        z = a @ w.T + b
-        sums.append(z)
+        z = a @ w.T
+        z += b
         a = transfer.apply(z)
         activations.append(a)
-    return activations, sums
+    return activations
 
 
 def _as_pair(model: MlpModel, inputs, targets) -> tuple:
@@ -220,9 +219,8 @@ def _as_pair(model: MlpModel, inputs, targets) -> tuple:
 def loss_sse(model: MlpModel, inputs, targets) -> float:
     """Sum of squared errors over all samples and output components."""
     x, y = _as_pair(model, inputs, targets)
-    activations, _ = _forward_trace(model, x)
-    e = y - activations[-1]
-    return float(np.sum(e * e))
+    e = y - _forward_trace(model, x)[-1]
+    return float((e * e).sum())
 
 
 def gradients(model: MlpModel, inputs, targets) -> list:
@@ -231,22 +229,26 @@ def gradients(model: MlpModel, inputs, targets) -> list:
     For a single linear neuron this is exactly (-2 e^T x, -2 e^T 1);
     deeper layers chain the output error backwards through f'.
     """
-    return _loss_and_gradients(model, inputs, targets)[1]
+    return _loss_and_gradients(model, *_as_pair(model, inputs, targets))[1]
 
 
-def _loss_and_gradients(model: MlpModel, inputs, targets) -> tuple:
-    """(loss_sse, gradients) from a single forward trace."""
-    x, y = _as_pair(model, inputs, targets)
-    activations, sums = _forward_trace(model, x)
-    transfers = model._transfer_fns
+def _loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple:
+    """(loss_sse, gradients) from a single forward trace.
+
+    x and y must already have passed _as_pair; nothing is checked here.
+    """
+    activations = _forward_trace(model, x)
     e = y - activations[-1]
-    delta = -2.0 * e * transfers[-1].derivative(sums[-1])
+    delta = -2.0 * e
     grads = [None] * model.n_layers
     for k in reversed(range(model.n_layers)):
+        derivative = model._transfer_fns[k].derivative
+        if derivative is not None:
+            delta *= derivative(activations[k + 1])
         grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
         if k > 0:
-            delta = (delta @ model.weights[k]) * transfers[k - 1].derivative(sums[k - 1])
-    return float(np.sum(e * e)), grads
+            delta = delta @ model.weights[k]
+    return float((e * e).sum()), grads
 
 
 def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):

@@ -186,7 +186,9 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
         n_predictions=cfg.cost_spec.n_predictions,
         repetitions=cfg.cost_spec.repetitions,
     )
-    verdict = costs.summary(ledger)
+    verdict = costs.summary(
+        ledger, diverged=train_report.stop_reason == "diverged", rmse_test=eval_report.rmse_test
+    )
 
     out = _Artifacts(out_dir)
     out.csv(
@@ -260,6 +262,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
             dataset,
             [(3, *hidden, cfg.n_nodes) for hidden in cfg.arch_sweep],
             cfg.train,
+            trained=(model, train_report),
         )
         out.json(
             "arch_sweep.json",

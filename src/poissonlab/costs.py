@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 import time
 from dataclasses import dataclass
 
@@ -19,6 +20,9 @@ from .errors import ParameterError
 # Two ledgers measured on identical workloads should agree to within
 # this bound; calibrated on the test machine with sleep stubs.
 TIMING_JITTER_SECONDS = 0.02
+
+# beneficial(N) multiplies N as a float, so no larger N can be tested.
+_LARGEST_N = int(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -67,39 +71,57 @@ def total_time(ledger: CostLedger, n_predictions: int | None = None) -> float:
 def break_even(ledger: CostLedger) -> int | None:
     """Smallest N with t_dg + t_nt + N*t_pr < N*t_solve, or None for never.
 
-    The closed form is floor((t_dg+t_nt)/(t_solve-t_pr)) + 1; a local
-    scan afterwards pins down the exact integer regardless of float
-    rounding in the division.
+    The closed form floor((t_dg+t_nt)/(t_solve-t_pr)) + 1 is only a
+    starting guess: steps that double in size bracket the answer between
+    an N that does not pay off and one that does, and bisection then
+    pins down the exact integer under float rounding. This terminates
+    even when N is far beyond float resolution. Raises ParameterError
+    when t_dg + t_nt overflows or N exceeds the largest float.
     """
     if ledger.t_solve <= 0:
         raise ParameterError("t_solve must be > 0")
     if ledger.t_pr >= ledger.t_solve:
         return None
     setup = ledger.t_dg + ledger.t_nt
-    margin = ledger.t_solve - ledger.t_pr
+    guess = setup / (ledger.t_solve - ledger.t_pr)
+    if not math.isfinite(guess):
+        raise ParameterError(f"break-even N is beyond the float range (t_dg + t_nt = {setup:g})")
 
     def beneficial(n: int) -> bool:
-        return setup + n * ledger.t_pr < n * ledger.t_solve
+        if n > _LARGEST_N:
+            raise ParameterError("break-even N is beyond the float range")
+        return total_time(ledger, n) < n * ledger.t_solve
 
-    n = max(1, math.floor(setup / margin) + 1)
-    while n > 1 and beneficial(n - 1):
-        n -= 1
-    while not beneficial(n):
-        n += 1
-    return n
+    # Bracket: lo does not pay off, hi does. N = 0 never pays off, since
+    # t_dg + t_nt >= 0, so the downward steps stop at 0 at the latest.
+    n = max(1, math.floor(guess) + 1)
+    lo, hi, step = n - 1, n, 1
+    while not beneficial(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo > 0 and beneficial(lo):
+        lo, hi, step = max(0, lo - step), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if beneficial(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def summary(ledger: CostLedger) -> dict:
-    """The ledger's fields plus its verdict: `break_even` ("never" when no N
-    pays off) and `total_time` at the ledger's N. Every artifact and
+def summary(ledger: CostLedger, diverged: bool = False, rmse_test: float | None = None) -> dict:
+    """The ledger's fields plus its verdict: `break_even` and `total_time` at
+    the ledger's N. The verdict is "invalid" when the surrogate is
+    unusable (its training diverged or its test RMSE is not finite),
+    "never" when no N pays off, and otherwise N. Every artifact and
     message that states a break-even N takes it from here.
     """
-    n_star = break_even(ledger)
-    return {
-        **ledger.to_dict(),
-        "break_even": "never" if n_star is None else n_star,
-        "total_time": total_time(ledger),
-    }
+    if diverged or (rmse_test is not None and not math.isfinite(rmse_test)):
+        verdict = "invalid"
+    else:
+        n_star = break_even(ledger)
+        verdict = "never" if n_star is None else n_star
+    return {**ledger.to_dict(), "break_even": verdict, "total_time": total_time(ledger)}
 
 
 def measure(

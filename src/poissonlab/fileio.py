@@ -51,9 +51,15 @@ def format_cell(value) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
+    """Header line, then one line per row. A 2-D float ndarray is formatted
+    a row at a time through Python floats, which gives the text
+    format_cell gives each cell without a call per cell."""
     path = Path(path)
     lines = [",".join(header)]
-    lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        lines.extend(",".join(map(repr, row.tolist())) for row in rows)
+    else:
+        lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

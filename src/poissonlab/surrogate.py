@@ -432,10 +432,26 @@ def data_requirement_curve(
     return rows
 
 
-def architecture_sweep(dataset: SurrogateDataset, archs, cfg: ann.TrainConfig) -> list:
-    """Train one model per layer layout; rows are (layout, test rmse, epochs, seconds)."""
+def architecture_sweep(dataset: SurrogateDataset, archs, cfg: ann.TrainConfig, trained=None) -> list:
+    """Train one model per layer layout; rows are (layout, test rmse, epochs, seconds).
+
+    Every layout trains with the default transfers. `trained` may be the
+    (SurrogateModel, TrainReport) that train_surrogate returned for this
+    dataset and cfg; a layout whose sizes and default transfers equal that
+    model's would retrain it bit for bit, so its row reuses it, seconds
+    included.
+    """
+    reusable = None
+    if trained is not None:
+        mlp = trained[0].mlp
+        if mlp.transfers == ann.default_transfers(mlp.layer_sizes):
+            reusable = mlp.layer_sizes
     rows = []
     for layer_sizes in archs:
-        model, report = train_surrogate(dataset, layer_sizes, cfg)
+        layer_sizes = tuple(int(s) for s in layer_sizes)
+        if layer_sizes == reusable:
+            model, report = trained
+        else:
+            model, report = train_surrogate(dataset, layer_sizes, cfg)
         rows.append((list(layer_sizes), _probe_rmse(model, dataset), report.epochs_run, report.wall_time))
     return rows

@@ -44,17 +44,21 @@ def random_model(rng, max_layers=3, max_units=5):
 def test_purelin_contract():
     grid = np.linspace(-5.0, 5.0, 101)
     tf = TRANSFERS["purelin"]
-    npt.assert_array_equal(tf.apply(grid), grid)
-    npt.assert_array_equal(tf.derivative(grid), np.ones_like(grid))
+    npt.assert_array_equal(tf.apply(grid.copy()), grid)
+    # f' is 1 everywhere, so backpropagation multiplies by nothing.
+    assert tf.derivative is None
 
 
 def test_tanh_contract():
     grid = np.linspace(-5.0, 5.0, 101)
     tf = TRANSFERS["tanh"]
-    values = tf.apply(grid)
+    values = tf.apply(grid.copy())
+    npt.assert_array_equal(values, np.tanh(grid))
     assert np.all(np.abs(values) < 1.0)
-    gap = tf.derivative(grid) - (1.0 - values**2)
-    assert np.max(np.abs(gap)) < 1e-12
+    # The derivative takes the output a = tanh(n), not n.
+    step = 1e-6
+    numeric = (np.tanh(grid + step) - np.tanh(grid - step)) / (2.0 * step)
+    assert np.max(np.abs(tf.derivative(values) - numeric)) < 1e-9
 
 
 # -- forward pass ------------------------------------------------------
@@ -250,37 +254,83 @@ def test_train_deterministic_replay():
         npt.assert_array_equal(w1, w2)
 
 
+def two_pass_reference_descent(model, x, y, cfg):
+    """Steepest descent in plain numpy with the textbook formulas: one
+    forward pass for the loss and another for the gradients, f' evaluated
+    from the pre-activation sums, and purelin's f' as an array of ones.
+    Returns (weights, biases, loss_history, stop_reason)."""
+
+    def derivative(tag, n):
+        if tag == "tanh":
+            t = np.tanh(n)
+            return 1.0 - t * t
+        return np.ones_like(n)
+
+    def forward(weights, biases):
+        activations, sums = [x], []
+        for w, b, tag in zip(weights, biases, model.transfers):
+            z = activations[-1] @ w.T + b
+            sums.append(z)
+            activations.append(np.tanh(z) if tag == "tanh" else z)
+        return activations, sums
+
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    n_layers = len(weights)
+    history, prev, stop_reason = [], math.inf, "max_epochs"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_epochs):
+            e = y - forward(weights, biases)[0][-1]
+            loss = float(np.sum(e * e))
+            history.append(loss)
+            if not math.isfinite(loss):
+                stop_reason = "diverged"
+                break
+            if abs(loss - prev) < cfg.stop_tolerance:
+                stop_reason = "converged"
+                break
+            prev = loss
+            activations, sums = forward(weights, biases)
+            e = y - activations[-1]
+            delta = -2.0 * e * derivative(model.transfers[-1], sums[-1])
+            grads = [None] * n_layers
+            for k in reversed(range(n_layers)):
+                grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
+                if k > 0:
+                    delta = (delta @ weights[k]) * derivative(model.transfers[k - 1], sums[k - 1])
+            for k, (dw, db) in enumerate(grads):
+                weights[k] -= cfg.learning_rate * dw
+                biases[k] -= cfg.learning_rate * db
+    return weights, biases, history, stop_reason
+
+
 def test_train_matches_two_pass_reference_loop():
-    # One trace per epoch must change nothing against the textbook loop
-    # that evaluates the loss and then the gradients separately.
+    # The one-trace epoch (derivatives from the layer outputs, no multiply
+    # for purelin) must give bit-identical models and loss histories.
     rng = np.random.default_rng(4)
     x = rng.uniform(-0.5, 0.5, size=(40, 3))
     grid = np.linspace(0.0, 1.0, 101)
     y = x[:, [0]] * grid * (1.0 - grid) + x[:, [1]] * (1.0 - grid) + x[:, [2]] * grid
-    model = init_mlp((3, 8, 101), transfers=("tanh", "purelin"), seed=0)
-    cfg = TrainConfig(learning_rate=5e-4, stop_tolerance=1e-12, max_epochs=200)
-
-    reference = model.copy()
-    history = []
-    prev = math.inf
-    for _ in range(cfg.max_epochs):
-        loss = loss_sse(reference, x, y)
-        history.append(loss)
-        if not math.isfinite(loss) or abs(loss - prev) < cfg.stop_tolerance:
-            break
-        prev = loss
-        for (w, b), (dw, db) in zip(
-            zip(reference.weights, reference.biases), gradients(reference, x, y)
-        ):
-            w -= cfg.learning_rate * dw
-            b -= cfg.learning_rate * db
-
-    trained, report = train_steepest_descent(model, x, y, cfg)
-    assert report.epochs_run == cfg.max_epochs
-    assert report.loss_history == history
-    for k in range(trained.n_layers):
-        npt.assert_array_equal(trained.weights[k], reference.weights[k])
-        npt.assert_array_equal(trained.biases[k], reference.biases[k])
+    cases = [
+        ((3, 101), None, 2e-3, 0.1),
+        ((3, 8, 101), None, 5e-4, 1e-12),
+        ((3, 16, 16, 101), None, 5e-4, 1e-12),
+        ((3, 8, 101), ("tanh", "tanh"), 5e-4, 1e-12),
+        ((3, 8, 101), None, 1.0, 1e-12),
+    ]
+    stop_reasons = set()
+    for layer_sizes, transfers, rate, tolerance in cases:
+        model = init_mlp(layer_sizes, transfers=transfers, seed=0)
+        cfg = TrainConfig(learning_rate=rate, stop_tolerance=tolerance, max_epochs=200)
+        weights, biases, history, stop_reason = two_pass_reference_descent(model, x, y, cfg)
+        trained, report = train_steepest_descent(model, x, y, cfg)
+        assert report.stop_reason == stop_reason, layer_sizes
+        npt.assert_array_equal(report.loss_history, history)
+        for k in range(trained.n_layers):
+            npt.assert_array_equal(trained.weights[k], weights[k])
+            npt.assert_array_equal(trained.biases[k], biases[k])
+        stop_reasons.add(stop_reason)
+    assert stop_reasons == {"converged", "max_epochs", "diverged"}
 
 
 def test_train_does_not_mutate_input_model():

@@ -1,9 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import poissonlab
+from poissonlab import costs, surrogate
 from poissonlab.cli import main
 from poissonlab.config import load_config, parse_config
 from poissonlab.errors import ConfigError
@@ -410,13 +412,61 @@ def test_breakeven_command(tmp_path, capsys):
     assert doc["total_time"] == pytest.approx(1600.0)
 
 
+@pytest.mark.parametrize(
+    "ledger, code",
+    [
+        ({"t_dg": 1.5e308, "t_nt": 1.5e308}, 2),  # t_dg + t_nt overflows
+        ({"t_dg": 1.7976931348623157e308, "t_nt": 0.0, "t_pr": 0.0, "t_solve": 1.0}, 2),
+        ({"t_dg": 1e300}, 0),
+        ({"t_dg": 1.5e308, "t_nt": 0.0}, 0),
+    ],
+    ids=["setup-overflows", "n-beyond-float", "t_dg-1e300", "t_dg-1.5e308"],
+)
+def test_breakeven_on_huge_ledgers_ends_quickly_and_cleanly(tmp_path, capsys, ledger, code):
+    doc = json.loads(Path("configs/breakeven_demo.json").read_text())
+    doc["ledger"].update(ledger)
+    started = time.perf_counter()
+    assert main(["breakeven", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == code
+    assert time.perf_counter() - started < 1.0
+    if code == 2:
+        assert "break-even N is beyond the float range" in capsys.readouterr().err
+        return
+    l = costs.CostLedger(**doc["ledger"])
+    n = read_json(tmp_path / "breakeven.json")["break_even"]
+    assert costs.total_time(l, n) < n * l.t_solve
+    assert not costs.total_time(l, n - 1) < (n - 1) * l.t_solve
+
+
+@pytest.mark.parametrize("hidden_transfer, trainings", [("tanh", 2), ("purelin", 3)])
+def test_surrogate_sweep_trains_each_distinct_network_once(tmp_path, monkeypatch, hidden_transfer, trainings):
+    calls = []
+    original = surrogate.train_surrogate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "train_surrogate", counting)
+    doc = json.loads(json.dumps(SURROGATE_DOC))
+    doc["arch"] = {"hidden": [4], "hidden_transfer": hidden_transfer}
+    doc["arch_sweep"] = [[], [4]]
+    doc["train"]["max_epochs"] = 50
+    assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "run")]) == 0
+    # The main model is [3, 4, 21]; with tanh it is the sweep's [4] row as well.
+    assert len(calls) == trainings
+
+
 def test_diverged_run_writes_strict_json_and_reports_not_finite(tmp_path, capsys):
     # A unit learning rate makes steepest descent diverge; the run still
-    # completes, and its artifacts must stay valid RFC 8259 JSON.
+    # completes, its artifacts must stay valid RFC 8259 JSON, and its
+    # break-even verdict is "invalid" rather than a plausible N.
     doc = json.loads(Path("configs/surrogate_tanh.json").read_text())
     doc["train"]["learning_rate"] = 1.0
     run = tmp_path / "run"
     assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(run)]) == 0
+    assert "break-even N invalid" in capsys.readouterr().out
+    assert read_json(run / "cost_ledger.json")["break_even"] == "invalid"
+    assert read_json(run / "manifest.json")["timings"]["break_even"] == "invalid"
 
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -434,3 +484,4 @@ def test_diverged_run_writes_strict_json_and_reports_not_finite(tmp_path, capsys
     assert "train RMSE not finite" in text
     assert "x4 -> not finite" in text
     assert "absent (empty split)" not in text
+    assert "break-even N              : invalid" in text

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from poissonlab.costs import (
     CostLedger,
     break_even,
     measure,
+    summary,
     total_time,
 )
 from poissonlab.errors import ParameterError
@@ -109,6 +111,28 @@ def test_break_even_matches_brute_force(t_solve, ratio, scale):
     setup = scale * (t_solve - t_pr)
     l = CostLedger(t_dg=setup, t_nt=0.0, t_pr=t_pr, t_solve=t_solve, n_predictions=0)
     assert break_even(l) == brute_force_break_even(l)
+
+
+@pytest.mark.parametrize(
+    "t_dg, t_pr, t_solve",
+    [(1e300, 0.1, 10.0), (1.5e308, 0.1, 10.0), (1.0, 1.0, 1.0 + 2**-52), (1e10, 0.0, 1e-290)],
+)
+def test_break_even_beyond_float_resolution_is_a_boundary(t_dg, t_pr, t_solve):
+    # A scan by one could never leave these N; the answer must still pay
+    # off while the N before it does not.
+    l = ledger(t_dg=t_dg, t_pr=t_pr, t_solve=t_solve)
+    n = break_even(l)
+    assert total_time(l, n) < n * t_solve
+    assert not total_time(l, n - 1) < (n - 1) * t_solve
+
+
+def test_summary_verdict_is_invalid_for_an_unusable_surrogate():
+    l = ledger(t_dg=1000.0, t_nt=500.0, t_pr=0.1, t_solve=10.0, n=1000)
+    assert summary(l)["break_even"] == 152
+    assert summary(l, rmse_test=0.5)["break_even"] == 152
+    assert summary(l, diverged=True)["break_even"] == "invalid"
+    assert summary(l, rmse_test=math.nan)["break_even"] == "invalid"
+    assert summary(l, rmse_test=math.inf)["total_time"] == pytest.approx(1600.0)
 
 
 # -- measurement -------------------------------------------------------

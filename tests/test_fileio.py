@@ -1,7 +1,9 @@
 import json
 import math
 
-from poissonlab.fileio import read_json, write_json
+import numpy as np
+
+from poissonlab.fileio import read_json, write_csv, write_json
 
 
 def strict_loads(text):
@@ -29,3 +31,12 @@ def test_write_json_finite_document_has_no_non_finite_key(tmp_path):
     path = write_json(tmp_path / "doc.json", doc)
     assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert read_json(path) == doc
+
+
+def test_write_csv_float_array_matches_cell_by_cell_text(tmp_path):
+    rows = np.array([[0.1, -0.0, 1.0 / 3.0], [1e-300, math.inf, math.nan], [-2.5e17, 5e-324, 7.0]])
+    for array in (rows, rows.astype(np.float32)):
+        fast = write_csv(tmp_path / "fast.csv", ("a", "b", "c"), array)
+        slow = write_csv(tmp_path / "slow.csv", ("a", "b", "c"), [list(row) for row in array])
+        assert fast.read_bytes() == slow.read_bytes()
+    assert write_csv(tmp_path / "fast.csv", ("a", "b", "c"), rows).read_text().splitlines()[2] == "1e-300,inf,nan"

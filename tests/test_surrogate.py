@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from poissonlab import surrogate
 from poissonlab.ann import MlpModel, TrainConfig
 from poissonlab.errors import ParameterError, ShapeError
 from poissonlab.pde import PoissonProblem, solve_analytic, solve_fdm
@@ -356,3 +357,29 @@ def test_architecture_sweep_reports_each_layout():
     )
     assert [row[0] for row in rows] == [[3, 11], [3, 4, 11]]
     assert all(row[1] >= 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("hidden_transfer, retrained", [("tanh", False), ("purelin", True)])
+def test_architecture_sweep_reuses_the_main_model_only_for_its_own_layout(
+    monkeypatch, hidden_transfer, retrained
+):
+    ds = split_dataset(generate_dataset(linear_space(n_samples=16), 11), (0.8, 0.1, 0.1), seed=1)
+    cfg = quick_train_config(learning_rate=0.001, max_epochs=100)
+    main = train_surrogate(ds, (3, 4, 11), cfg, transfers=(hidden_transfer, "purelin"))
+    fresh = architecture_sweep(ds, [(3, 11), (3, 4, 11)], cfg)
+
+    trained_layouts = []
+    original = surrogate.train_surrogate
+
+    def counting(dataset, layer_sizes, *args, **kwargs):
+        trained_layouts.append(tuple(layer_sizes))
+        return original(dataset, layer_sizes, *args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "train_surrogate", counting)
+    rows = architecture_sweep(ds, [(3, 11), (3, 4, 11)], cfg, trained=main)
+    # Only a main model with the sweep's default transfers stands in for a row.
+    assert trained_layouts == ([(3, 11), (3, 4, 11)] if retrained else [(3, 11)])
+    assert rows[0][:3] == fresh[0][:3]
+    assert rows[1][:3] == fresh[1][:3]
+    if not retrained:
+        assert rows[1][3] == main[1].wall_time
