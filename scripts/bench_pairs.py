@@ -1,0 +1,163 @@
+"""Benchmark a git ref against the working tree in interleaved pairs.
+
+    python3 scripts/bench_pairs.py --ref HEAD --workload query --pairs 10 --label query
+
+Each pair runs `perfbench/run.py --trace 0` once in an export of <ref>
+and once in the working tree, with the same seed (`--seed` plus the pair
+index); the side that runs first alternates from pair to pair. The run
+length is BENCHMARK.json's `run_seconds`. The ref is exported with
+`git archive` into a temporary directory (honouring TMPDIR), so only its
+committed files run and nothing is registered in the repository.
+
+Writes BENCH_<label>.json at the repository root: the machine
+descriptor, every pair's metrics on both sides, and for each end-to-end
+metric each side's median and quartiles, the number of pairs the working
+tree won (ties count for neither), whether that is a gain by the
+benchmark's rule (at least 9 wins in 10, medians apart by more than the
+ref's interquartile range) and whether the working tree's median stays
+within the metric's bound.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, check=True).stdout
+
+
+def export(ref: str, into: Path) -> str:
+    """Extract the committed files of ref into `into`; return its commit id."""
+    sha = git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha))) as tar:
+        tar.extractall(into, filter="data")
+    return sha
+
+
+def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One `perfbench/run.py --trace 0` in checkout; its summary line and environment."""
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)  # each side imports its own src/
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, env=env, capture_output=True, text=True, check=True,
+    )
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    first = sorted((checkout / ".perfbench_out").glob(f"BENCH_*_seed{seed}_trace0.json"))[0]
+    return {
+        "attempted": summary["attempted"],
+        "failed": summary["failed"],
+        "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
+        "environment": json.loads(first.read_text(encoding="utf-8"))["environment"],
+    }
+
+
+def quantile(values: list, q: float) -> float:
+    """Linear interpolation between order statistics (numpy's default)."""
+    s = sorted(values)
+    pos = q * (len(s) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(s) - 1)
+    return s[lo] + (s[hi] - s[lo]) * (pos - lo)
+
+
+def side_summary(values: list) -> dict:
+    return {"median": quantile(values, 0.5), "q1": quantile(values, 0.25), "q3": quantile(values, 0.75), "values": values}
+
+
+def compare(name: str, pairs: list, spec: dict) -> dict:
+    """The benchmark's verdicts for one metric; `spec` is its BENCHMARK.json entry."""
+    ref = [p["ref"]["metrics"][name] for p in pairs]
+    change = [p["change"]["metrics"][name] for p in pairs]
+    sign = 1.0 if spec["better"] == "higher" else -1.0
+    wins = sum(sign * (c - r) > 0 for r, c in zip(ref, change))
+    ref_s, change_s = side_summary(ref), side_summary(change)
+    gap = sign * (change_s["median"] - ref_s["median"])  # > 0 when the change is better
+    ref_iqr = ref_s["q3"] - ref_s["q1"]
+    return {
+        "unit": spec["unit"],
+        "better": spec["better"],
+        "bound": spec["bound"],
+        "ref": ref_s,
+        "change": change_s,
+        "change_wins": wins,
+        "pairs": len(pairs),
+        "median_change_frac": (change_s["median"] - ref_s["median"]) / ref_s["median"],
+        "ref_iqr": ref_iqr,
+        "gain": wins >= 0.9 * len(pairs) and gap > ref_iqr,
+        "within_bound": -gap <= spec["bound"] * abs(ref_s["median"]),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--ref", required=True, help="git ref to compare the working tree against")
+    parser.add_argument("--workload", required=True, help="a perfbench workload, or all")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
+    specs = {m["name"]: m for m in benchmark["end_to_end"]}
+
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        ref_tree = Path(tmp)
+        sha = export(args.ref, ref_tree)
+        for k in range(args.pairs):
+            seed = args.seed + k
+            order = ("ref", "change") if k % 2 == 0 else ("change", "ref")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_benchmark(ref_tree if side == "ref" else ROOT, args.workload, seed, seconds)
+            print(f"pair {k + 1}/{args.pairs} seed {seed}: failed ref {pair['ref']['failed']}, "
+                  f"change {pair['change']['failed']}", flush=True)
+            pairs.append(pair)
+
+    environment = pairs[0]["change"]["environment"]
+    for pair in pairs:
+        for side in ("ref", "change"):
+            del pair[side]["environment"]
+    metrics = {}
+    for name in sorted(pairs[0]["ref"]["metrics"]):
+        # Under --workload all the names carry a "<workload>." prefix.
+        metrics[name] = compare(name, pairs, specs[name.rsplit(".", 1)[-1]])
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    doc = {
+        "label": args.label,
+        "workload": args.workload,
+        "seconds": seconds,
+        "ref": {"name": args.ref, "commit": sha},
+        "change": {"commit": git("rev-parse", "HEAD").decode().strip(), "uncommitted_changes": dirty},
+        "environment": environment,
+        "metrics": metrics,
+        "pairs": pairs,
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    for name, m in metrics.items():
+        print(f"{name:40s} ref {m['ref']['median']:.6g} [{m['ref']['q1']:.6g}, {m['ref']['q3']:.6g}]  "
+              f"change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]  "
+              f"{m['median_change_frac']:+.1%}  wins {m['change_wins']}/{m['pairs']}"
+              f"{'  gain' if m['gain'] else ''}{'' if m['within_bound'] else '  OUT OF BOUND'}")
+    print(f"wrote {out.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ the normal-equation route keeps the arithmetic auditable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,37 +117,63 @@ class TridiagonalSystem:
         return self.diag.shape[0]
 
 
+@functools.lru_cache(maxsize=4)
+def _eliminate(sub: bytes, diag: bytes, sup: bytes) -> tuple:
+    """Forward elimination of the matrix whose diagonals are these float64 bytes.
+
+    Returns (sub, pivots, sup/pivot ratios) as tuples of Python floats,
+    which are IEEE doubles like numpy's float64 scalars, so every later
+    operation rounds exactly as it would on the arrays. Keyed on content,
+    so a caller that mutates its diagonals gets a fresh elimination; a
+    singular matrix raises, and lru_cache does not cache exceptions.
+    """
+    tiny = PIVOT_RTOL * max(1.0, float(np.max(np.abs(np.frombuffer(diag)))))
+    sub, diag, sup = (np.frombuffer(b).tolist() for b in (sub, diag, sup))
+    n = len(diag)
+    pivots, ratios = [diag[0]], []
+    if abs(pivots[0]) <= tiny:
+        raise SingularMatrixError(f"zero pivot at row 0 ({pivots[0]:.3e})")
+    if n > 1:
+        ratios.append(sup[0] / pivots[0])
+    for i in range(1, n):
+        pivot = diag[i] - sub[i - 1] * ratios[i - 1]
+        if abs(pivot) <= tiny:
+            raise SingularMatrixError(f"zero pivot at row {i} ({pivot:.3e})")
+        pivots.append(pivot)
+        if i < n - 1:
+            ratios.append(sup[i] / pivot)
+    return tuple(sub), tuple(pivots), tuple(ratios)
+
+
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     """Thomas algorithm without pivoting; returns u with the shape of rhs.
 
     Intended for diagonally dominant systems (the finite-difference
     Laplacian qualifies); a vanishing pivot raises SingularMatrixError.
-    The loop runs over the n rows and updates a whole row of an (n, batch)
-    rhs per step, so each column gets exactly the operations of its own
-    vector solve.
+    The elimination depends on the matrix alone and is cached, so
+    repeated solves with one matrix pay only for the substitution. An
+    (n, batch) rhs is swept a whole row per step, so each column gets
+    exactly the operations of its own vector solve.
     """
-    n = system.n
-    sub, diag, sup, rhs = system.sub, system.diag, system.sup, system.rhs
-    scale = max(1.0, float(np.max(np.abs(diag))))
-    tiny = PIVOT_RTOL * scale
-    sup_over_pivot = np.empty(n - 1)
+    sub, pivots, ratios = _eliminate(system.sub.tobytes(), system.diag.tobytes(), system.sup.tobytes())
+    rhs = system.rhs
+    if rhs.ndim == 1:
+        # Python floats: per-element numpy indexing would cost more than the arithmetic.
+        values = rhs.tolist()
+        prev = values[0] / pivots[0]
+        work = [prev]
+        for r, s, pivot in zip(values[1:], sub, pivots[1:]):
+            prev = (r - s * prev) / pivot
+            work.append(prev)
+        # Back substitution in place: the last row already holds u.
+        for i in reversed(range(len(ratios))):
+            prev = work[i] = work[i] - ratios[i] * prev
+        return np.array(work)
+
     work = np.empty_like(rhs)
-
-    pivot = diag[0]
-    if abs(pivot) <= tiny:
-        raise SingularMatrixError(f"zero pivot at row 0 ({pivot:.3e})")
-    work[0] = rhs[0] / pivot
-    if n > 1:
-        sup_over_pivot[0] = sup[0] / pivot
-    for i in range(1, n):
-        pivot = diag[i] - sub[i - 1] * sup_over_pivot[i - 1]
-        if abs(pivot) <= tiny:
-            raise SingularMatrixError(f"zero pivot at row {i} ({pivot:.3e})")
-        work[i] = (rhs[i] - sub[i - 1] * work[i - 1]) / pivot
-        if i < n - 1:
-            sup_over_pivot[i] = sup[i] / pivot
-
-    # Back substitution in place: row i + 1 of work already holds u.
-    for i in reversed(range(n - 1)):
-        work[i] = work[i] - sup_over_pivot[i] * work[i + 1]
+    work[0] = rhs[0] / pivots[0]
+    for i in range(1, system.n):
+        work[i] = (rhs[i] - sub[i - 1] * work[i - 1]) / pivots[i]
+    for i in reversed(range(system.n - 1)):
+        work[i] = work[i] - ratios[i] * work[i + 1]
     return work

@@ -70,7 +70,8 @@ class SolutionField:
             raise ShapeError("nodes and values must be 1-D")
         if self.nodes.shape[0] != self.values.shape[0] or self.nodes.shape[0] < 2:
             raise ShapeError("nodes and values must share a length >= 2")
-        if np.any(np.diff(self.nodes) <= 0):
+        # Written as a positive test so that NaN nodes fail it too.
+        if not np.all(self.nodes[1:] > self.nodes[:-1]):
             raise ParameterError("nodes must be strictly increasing")
         if self.provenance not in PROVENANCES:
             raise ParameterError(f"unknown provenance {self.provenance!r}")

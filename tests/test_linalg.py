@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonlab import linalg
 from poissonlab.errors import ShapeError, SingularMatrixError
 from poissonlab.linalg import (
     TridiagonalSystem,
@@ -132,6 +133,58 @@ def test_tridiagonal_matrix_rhs_equals_column_solves(n):
         npt.assert_array_equal(batch[:, k], column)
         reference = reference_thomas(*(a.tolist() for a in (sub, diag, sup, rhs[:, k])))
         npt.assert_array_equal(column, reference)
+
+
+def solve_and_reference(sub, diag, sup, rhs):
+    u = solve_tridiagonal(TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
+    return u, reference_thomas(*(a.tolist() for a in (sub, diag, sup, rhs)))
+
+
+def test_tridiagonal_alternating_systems_each_get_their_own_elimination():
+    rng = np.random.default_rng(11)
+    systems = [dominant_system_diagonals(rng, n) for n in (5, 99, 5, 40, 99, 1)]
+    for _ in range(3):
+        for sub, diag, sup in systems:
+            u, reference = solve_and_reference(sub, diag, sup, rng.uniform(-10.0, 10.0, size=len(diag)))
+            npt.assert_array_equal(u, reference)
+
+
+def test_tridiagonal_sees_diagonals_mutated_in_place():
+    rng = np.random.default_rng(12)
+    sub, diag, sup = dominant_system_diagonals(rng, 9)
+    rhs = rng.uniform(-10.0, 10.0, size=9)
+    first, reference = solve_and_reference(sub, diag, sup, rhs)
+    npt.assert_array_equal(first, reference)
+    diag[4] += 1.5
+    second, reference = solve_and_reference(sub, diag, sup, rhs)
+    npt.assert_array_equal(second, reference)
+    assert not np.array_equal(first, second)
+
+
+def test_tridiagonal_singular_system_raises_on_every_call():
+    system = TridiagonalSystem(sub=[1.0, 1.0], diag=[1.0, 1.0, 1.0], sup=[1.0, 1.0], rhs=[1.0, 2.0, 3.0])
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError, match="row 1"):
+            solve_tridiagonal(system)
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 3)])
+def test_tridiagonal_result_is_the_callers_to_mutate(shape):
+    sub, diag, sup = dominant_system_diagonals(np.random.default_rng(13), 6)
+    system = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=np.ones(shape))
+    first = solve_tridiagonal(system)
+    expected = first.copy()
+    first[...] = np.nan
+    npt.assert_array_equal(solve_tridiagonal(system), expected)
+
+
+def test_tridiagonal_elimination_cache_stays_bounded():
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        sub, diag, sup = dominant_system_diagonals(rng, 7)
+        solve_tridiagonal(TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=np.ones(7)))
+    info = linalg._eliminate.cache_info()
+    assert 1 <= info.currsize <= info.maxsize <= 8
 
 
 def test_tridiagonal_rejects_bad_rhs_shapes():

@@ -5,6 +5,7 @@ import pytest
 from poissonlab.errors import ParameterError
 from poissonlab.pde import (
     PoissonProblem,
+    SolutionField,
     fdm_values,
     solve_analytic,
     solve_fdm,
@@ -132,6 +133,21 @@ def test_problem_validation():
         PoissonProblem(1.0, 1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ParameterError):
         PoissonProblem(float("nan"), 0.0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        [0.0, 0.0, 1.0],
+        [0.0, 2.0, 1.0],
+        [0.0, float("nan"), 1.0],
+        [0.0, float("inf"), float("inf")],
+        [float("nan")] * 3,
+    ],
+)
+def test_solution_field_rejects_nodes_that_do_not_increase(nodes):
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        SolutionField(nodes=nodes, values=[0.0, 0.0, 0.0], provenance="fdm")
 
 
 def test_csv_rows_layout():
