@@ -172,14 +172,6 @@ class TrainReport:
     stop_reason: str
     wall_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "loss_history": [float(v) for v in self.loss_history],
-            "epochs_run": int(self.epochs_run),
-            "stop_reason": self.stop_reason,
-            "wall_time": float(self.wall_time),
-        }
-
 
 def _as_batch(arr, width: int, name: str) -> np.ndarray:
     a = np.asarray(arr, dtype=float)

@@ -4,12 +4,16 @@ Subcommands map one-to-one onto pipeline stages: `solve` runs the
 classical solvers, `fit` the least-squares experiment, `train-ann` the
 steepest-descent experiment, `surrogate` the full generate/split/train/
 evaluate/measure pipeline, `breakeven` the what-if cost calculator, and
-`report` renders a completed run as the ten-question table.
+`report` renders a completed run as the ten-question table. `surrogate`
+computes the whole run through `surrogate.run` before it writes, so a
+run whose pipeline fails writes no file.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 missing
-input. Artifacts that are inherently CSV (datasets) or inherently JSON
-(models, reports, manifest) are always written; plot-ready curve CSVs
-are emitted only when "csv" is among the requested formats.
+Exit codes: 0 success; 2 config error, including a config file that is
+not UTF-8 text and an --out that cannot be a directory; 3 numerical
+failure; 4 missing input, or a run's manifest that is not a JSON object.
+Artifacts that are inherently CSV (datasets) or inherently JSON (models,
+reports, manifest) are always written; plot-ready curve CSVs are emitted
+only when "csv" is among the requested formats.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import ann, costs, pde, regress, surrogate
 from .config import ExperimentConfig, load_config, override_seeds, parse_config
-from .errors import ConfigError, ParameterError, ShapeError, SingularMatrixError
+from .errors import ConfigError, InputError, ParameterError, ShapeError, SingularMatrixError
 from .fileio import write_csv, write_json
 from .manifest import write_manifest
 from .report import build_report
@@ -36,7 +40,10 @@ def _resolve_out_dir(cfg: ExperimentConfig, args) -> Path:
         out = Path(cfg.output.directory)
     else:
         out = Path("out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as a file where the directory should be
+        raise ConfigError(f"cannot use {out} as the output directory: {exc.strerror}") from exc
     return out
 
 
@@ -67,6 +74,13 @@ class _Artifacts:
     def json(self, name: str, obj, deterministic: bool = True) -> None:
         write_json(self.out_dir / name, obj)
         self.files.append((name, deterministic))
+
+    def training(self, model, report, formats) -> None:
+        """model.json, train_report.json and, with "csv" in formats, loss.csv."""
+        self.json("model.json", model.to_dict())
+        self.json("train_report.json", report, deterministic=False)
+        if "csv" in formats:
+            self.csv("loss.csv", ("epoch", "loss"), enumerate(report.loss_history, start=1))
 
     def manifest(self, config_doc: dict, seeds: dict, timings: dict) -> None:
         write_manifest(self.out_dir, config_doc, seeds=seeds, timings=timings, files=self.files)
@@ -137,14 +151,7 @@ def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     trained, report = ann.train_steepest_descent(model, dataset.inputs, dataset.targets, cfg.train)
 
     out = _Artifacts(out_dir)
-    out.json("model.json", trained.to_dict())
-    out.json("train_report.json", report.to_dict(), deterministic=False)
-    if "csv" in formats:
-        out.csv(
-            "loss.csv",
-            ("epoch", "loss"),
-            ((i + 1, loss) for i, loss in enumerate(report.loss_history)),
-        )
+    out.training(trained, report, formats)
     out.manifest(
         cfg.raw,
         seeds={"regression_seed": r.seed, "init_seed": cfg.train.init_seed},
@@ -157,135 +164,60 @@ def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
 
 
 def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
-    cfg.require("space", "arch", "train", "split", "eval", "costs")
-    space = cfg.space
-    dataset = surrogate.generate_dataset(space, cfg.n_nodes)
-    dataset = surrogate.split_dataset(dataset, cfg.split_ratios, seed=cfg.split_seed)
-    layer_sizes = cfg.arch.layer_sizes(cfg.n_nodes)
-    transfers = cfg.arch.transfer_tags()
-    model, train_report = surrogate.train_surrogate(dataset, layer_sizes, cfg.train, transfers)
-    eval_report = surrogate.evaluate(
-        model,
-        dataset,
-        space,
-        cfg.eval_spec.multipliers,
-        cfg.eval_spec.perturbations,
-        n_fresh=cfg.eval_spec.n_fresh,
-        seed=cfg.eval_spec.seed,
-    )
-
-    probe = dataset.inputs[0]
-    problem = pde.PoissonProblem(
-        g=float(probe[0]), x0=space.x0, x1=space.x1, y0=float(probe[1]), y1=float(probe[2])
-    )
-    ledger = costs.measure(
-        t_dg=dataset.generation_time,
-        t_nt=train_report.wall_time,
-        predict_once=lambda: model.predict(probe),
-        solve_once=lambda: pde.solve_fdm(problem, cfg.n_nodes),
-        n_predictions=cfg.cost_spec.n_predictions,
-        repetitions=cfg.cost_spec.repetitions,
-    )
-    verdict = costs.summary(
-        ledger, diverged=train_report.stop_reason == "diverged", rmse_test=eval_report.rmse_test
-    )
+    run = surrogate.run(cfg)
+    dataset, eval_report, verdict = run.dataset, run.eval_report, run.ledger
 
     out = _Artifacts(out_dir)
     out.csv(
         "inputs.csv",
         ("g", "y0", "y1", "split"),
-        (
-            (row[0], row[1], row[2], tag)
-            for row, tag in zip(dataset.inputs, dataset.split)
-        ),
+        ((*row, tag) for row, tag in zip(dataset.inputs.tolist(), dataset.split)),
     )
-    out.csv(
-        "outputs.csv",
-        tuple(f"y_{j}" for j in range(dataset.grid.shape[0])),
-        dataset.outputs,
-    )
+    out.csv("outputs.csv", tuple(f"y_{j}" for j in range(dataset.grid.shape[0])), dataset.outputs)
     out.json(
         "dataset.json",
         {
             "grid": dataset.grid,
             "seeds": dataset.seeds,
-            "sampling": space.sampling,
+            "sampling": cfg.space.sampling,
             "n_samples": dataset.n_samples,
             "n_nodes": cfg.n_nodes,
             "split_counts": {tag: int(dataset.rows_for(tag).size) for tag in surrogate.SPLIT_TAGS},
         },
     )
-    out.json("model.json", model.to_dict())
-    out.json("train_report.json", train_report.to_dict(), deterministic=False)
-    out.json("eval_report.json", eval_report.to_dict())
+    out.training(run.model, run.train_report, formats)
+    out.json("eval_report.json", eval_report)
     if "csv" in formats:
-        out.csv(
-            "loss.csv",
-            ("epoch", "loss"),
-            ((i + 1, loss) for i, loss in enumerate(train_report.loss_history)),
-        )
-        out.csv(
-            "extrapolation.csv",
-            ("range_multiplier", "rmse"),
-            eval_report.extrapolation_curve,
-        )
+        out.csv("extrapolation.csv", ("range_multiplier", "rmse"), eval_report.extrapolation_curve)
         out.csv(
             "sensitivity.csv",
             ("input_perturbation", "max_output_deviation"),
             eval_report.sensitivity_table,
         )
 
-    if cfg.data_curve is not None:
-        rows = surrogate.data_requirement_curve(
-            space,
-            cfg.n_nodes,
-            cfg.data_curve.sizes,
-            cfg.data_curve.seeds,
-            layer_sizes,
-            cfg.train,
-            ratios=cfg.split_ratios,
-            transfers=transfers,
-        )
+    if run.data_curve is not None:
+        rows = run.data_curve
         seed_means = [
-            {
-                "n_samples": size,
-                "rmse_test": float(np.mean([r[2] for r in rows if r[0] == size])),
-            }
+            {"n_samples": size, "rmse_test": float(np.mean([r[2] for r in rows if r[0] == size]))}
             for size in cfg.data_curve.sizes
         ]
         out.json("data_curve.json", {"rows": rows, "seed_means": seed_means})
         if "csv" in formats:
             out.csv("data_curve.csv", ("n_samples", "seed", "rmse_test"), rows)
 
-    if cfg.arch_sweep is not None:
-        sweep_rows = surrogate.architecture_sweep(
-            dataset,
-            [(3, *hidden, cfg.n_nodes) for hidden in cfg.arch_sweep],
-            cfg.train,
-            trained=(model, train_report),
-        )
+    if run.arch_sweep is not None:
+        keys = ("layer_sizes", "rmse_test", "epochs_run", "wall_time")
         out.json(
             "arch_sweep.json",
-            {
-                "rows": [
-                    {
-                        "layer_sizes": layout,
-                        "rmse_test": rmse,
-                        "epochs_run": epochs,
-                        "wall_time": seconds,
-                    }
-                    for layout, rmse, epochs, seconds in sweep_rows
-                ]
-            },
+            {"rows": [dict(zip(keys, row)) for row in run.arch_sweep]},
             deterministic=False,
         )
 
     out.json("cost_ledger.json", verdict, deterministic=False)
-
     out.manifest(
         cfg.raw,
         seeds={
-            "master_seed": space.master_seed,
+            "master_seed": cfg.space.master_seed,
             "split_seed": cfg.split_seed,
             "init_seed": cfg.train.init_seed,
             "eval_seed": cfg.eval_spec.seed,
@@ -354,7 +286,7 @@ def main(argv=None) -> int:
     except (ShapeError, SingularMatrixError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, InputError) as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return 4
 

@@ -196,7 +196,7 @@ SECTIONS = {
     "problems": ("problems", _list_of(_problem, min_len=1)),
     "n_nodes": ("n_nodes", _at_least(2)),
     "regression": ("regression", _Section(
-        RegressionSpec, n=_integer, true_w=_number, true_b=_number, x_range=_interval,
+        RegressionSpec, n=_at_least(2), true_w=_number, true_b=_number, x_range=_interval,
         noise_amplitude=_number, seed=_seed)),
     "ann": ("ann_spec", _Section(
         AnnSpec, layer_sizes=_list_of(_width, min_len=2), transfers=_list_of(_transfer),
@@ -213,11 +213,11 @@ SECTIONS = {
     "arch_sweep": ("arch_sweep", _list_of(_list_of(_width), min_len=1)),
     # data_curve.seeds are the master seeds of the curve's runs, not replaced by --seed.
     "data_curve": ("data_curve", _Section(
-        DataCurveSpec, sizes=_list_of(_integer, min_len=1), seeds=_list_of(_at_least(0), min_len=1))),
+        DataCurveSpec, sizes=_list_of(_width, min_len=1), seeds=_list_of(_at_least(0), min_len=1))),
     "eval": ("eval_spec", _Section(
         EvalSpec, multipliers=_list_of(_number, min_len=1),
-        perturbations=_list_of(_number, min_len=1), seed=_seed, n_fresh=_integer)),
-    "costs": ("cost_spec", _Section(CostSpec, repetitions=_integer, n_predictions=_integer)),
+        perturbations=_list_of(_number, min_len=1), seed=_seed, n_fresh=_width)),
+    "costs": ("cost_spec", _Section(CostSpec, repetitions=_width, n_predictions=_at_least(0))),
     "ledger": ("ledger", _Section(
         CostLedger, t_dg=_number, t_nt=_number, t_pr=_number, t_solve=_number,
         n_predictions=_integer)),
@@ -283,6 +283,8 @@ def load_config(path) -> ExperimentConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8 text
+        raise ConfigError(f"{path}: cannot read as UTF-8 text: {exc}") from exc
     return parse_config(doc)
 
 

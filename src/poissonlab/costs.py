@@ -48,19 +48,6 @@ class CostLedger:
         if self.repetitions < 1:
             raise ParameterError("repetitions must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "t_dg": self.t_dg,
-            "t_nt": self.t_nt,
-            "t_pr": self.t_pr,
-            "t_solve": self.t_solve,
-            "n_predictions": self.n_predictions,
-            "repetitions": self.repetitions,
-            "pr_samples": list(self.pr_samples),
-            "solve_samples": list(self.solve_samples),
-            "cold_prediction": self.cold_prediction,
-        }
-
 
 def total_time(ledger: CostLedger, n_predictions: int | None = None) -> float:
     """t_dg + t_nt + N * t_pr for N predictions (ledger N by default)."""
@@ -121,7 +108,7 @@ def summary(ledger: CostLedger, diverged: bool = False, rmse_test: float | None 
     else:
         n_star = break_even(ledger)
         verdict = "never" if n_star is None else n_star
-    return {**ledger.to_dict(), "break_even": verdict, "total_time": total_time(ledger)}
+    return {**vars(ledger), "break_even": verdict, "total_time": total_time(ledger)}
 
 
 def measure(

@@ -19,3 +19,7 @@ class ParameterError(PoissonLabError, ValueError):
 
 class ConfigError(PoissonLabError, ValueError):
     """An experiment config failed strict validation."""
+
+
+class InputError(PoissonLabError):
+    """A run's input file exists but does not hold what it should."""

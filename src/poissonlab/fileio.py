@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,18 @@ import numpy as np
 def jsonable(obj, non_finite: list, path: str = ""):
     """Recursively convert numpy scalars/arrays so json can emit them.
 
-    A float that is not finite becomes None; its path, such as
-    "rows[0].rmse", is appended to non_finite.
+    A dataclass instance becomes the dict of its fields, read as they are
+    (dataclasses.asdict would deep-copy every list first). A float that
+    is not finite becomes None; its path, such as "rows[0].rmse", is
+    appended to non_finite.
     """
+    if isinstance(obj, (float, np.floating)):
+        if math.isfinite(obj):
+            return float(obj)
+        non_finite.append(path)
+        return None
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
         return {k: jsonable(items[k], non_finite, f"{path}.{k}" if path else k) for k in sorted(items)}
@@ -33,11 +43,6 @@ def jsonable(obj, non_finite: list, path: str = ""):
         return [jsonable(v, non_finite, f"{path}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        non_finite.append(path)
-        return None
-    if isinstance(obj, np.floating):
-        return float(obj)
     return obj
 
 

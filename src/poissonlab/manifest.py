@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .errors import InputError
 from .fileio import read_json, sha256_file, write_json
 
 MANIFEST_NAME = "manifest.json"
@@ -61,4 +62,10 @@ def load_manifest(run_dir) -> dict:
     path = Path(run_dir) / MANIFEST_NAME
     if not path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {run_dir}")
-    return read_json(path)
+    try:
+        doc = read_json(path)
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise InputError(f"{path} is not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc

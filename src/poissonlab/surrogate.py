@@ -1,6 +1,8 @@
 """Parametric surrogate pipeline: sample (g, y0, y1), solve each case with
 the finite-difference solver, train an MLP mapping parameters to nodal
 values, and measure how the surrogate holds up in and out of range.
+`run` chains every stage of one `poissonlab surrogate` run and returns
+the results as a `SurrogateRun`, without writing a file.
 
 Data generation derives one child seed per sample from the master seed,
 so each random draw depends only on the master seed and the sample's
@@ -15,14 +17,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import ann
+from . import ann, costs
 from .errors import ParameterError, ShapeError
 from .linalg import as_matrix
-# solve_fdm is not called here; perfbench/tracer.py hooks it as surrogate.solve_fdm.
-from .pde import fdm_values, solve_fdm  # noqa: F401
+from .pde import PoissonProblem, fdm_values, solve_fdm
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ExperimentConfig
 
 SAMPLINGS = ("uniform_random", "grid")
 SPLIT_TAGS = ("train", "val", "test")
@@ -158,7 +163,7 @@ def split_dataset(dataset: SurrogateDataset, ratios, seed: int) -> SurrogateData
     """Assign train/val/test tags by seeded permutation and contiguous ratios.
 
     Rounding residue goes to train; zero val or test ratios simply leave
-    those splits empty.
+    those splits empty. The result shares its arrays with `dataset`.
     """
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios):
@@ -178,16 +183,7 @@ def split_dataset(dataset: SurrogateDataset, ratios, seed: int) -> SurrogateData
             split[row] = "val"
         else:
             split[row] = "test"
-    seeds = dict(dataset.seeds)
-    seeds["split_seed"] = int(seed)
-    return SurrogateDataset(
-        inputs=dataset.inputs.copy(),
-        outputs=dataset.outputs.copy(),
-        grid=dataset.grid.copy(),
-        split=split,
-        generation_time=dataset.generation_time,
-        seeds=seeds,
-    )
+    return replace(dataset, split=split, seeds={**dataset.seeds, "split_seed": int(seed)})
 
 
 @dataclass
@@ -285,17 +281,6 @@ class EvalReport:
     sensitivity_table: list
     discretization_transfer: float | None
     bc_violation_mean: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rmse_train": self.rmse_train,
-            "rmse_val": self.rmse_val,
-            "rmse_test": self.rmse_test,
-            "extrapolation_curve": [[float(m), float(r)] for m, r in self.extrapolation_curve],
-            "sensitivity_table": [[float(d), float(v)] for d, v in self.sensitivity_table],
-            "discretization_transfer": self.discretization_transfer,
-            "bc_violation_mean": self.bc_violation_mean,
-        }
 
 
 def _rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
@@ -455,3 +440,71 @@ def architecture_sweep(dataset: SurrogateDataset, archs, cfg: ann.TrainConfig, t
             model, report = train_surrogate(dataset, layer_sizes, cfg)
         rows.append((list(layer_sizes), _probe_rmse(model, dataset), report.epochs_run, report.wall_time))
     return rows
+
+
+@dataclass
+class SurrogateRun:
+    """Everything one `poissonlab surrogate` run computes, ready to write.
+
+    `ledger` is the `costs.summary` dict; `data_curve` and `arch_sweep`
+    hold the rows of those stages, or None when the config omits them.
+    """
+
+    dataset: SurrogateDataset
+    model: SurrogateModel
+    train_report: ann.TrainReport
+    eval_report: EvalReport
+    ledger: dict
+    data_curve: list | None
+    arch_sweep: list | None
+
+
+def run(cfg: ExperimentConfig) -> SurrogateRun:
+    """Generate, split, train, evaluate and price a surrogate; no file I/O.
+
+    The ledger times one prediction and one `solve_fdm` of the first
+    sample's problem. The data curve and the architecture sweep, when
+    configured, run after it, so their trainings are not in its timings.
+    """
+    cfg.require("space", "arch", "train", "split", "eval", "costs")
+    space = cfg.space
+    dataset = split_dataset(generate_dataset(space, cfg.n_nodes), cfg.split_ratios, seed=cfg.split_seed)
+    layer_sizes = cfg.arch.layer_sizes(cfg.n_nodes)
+    transfers = cfg.arch.transfer_tags()
+    model, train_report = train_surrogate(dataset, layer_sizes, cfg.train, transfers)
+    eval_spec = cfg.eval_spec
+    eval_report = evaluate(
+        model, dataset, space, eval_spec.multipliers, eval_spec.perturbations,
+        n_fresh=eval_spec.n_fresh, seed=eval_spec.seed,
+    )
+
+    probe = dataset.inputs[0]
+    problem = PoissonProblem(
+        g=float(probe[0]), x0=space.x0, x1=space.x1, y0=float(probe[1]), y1=float(probe[2])
+    )
+    ledger = costs.measure(
+        t_dg=dataset.generation_time,
+        t_nt=train_report.wall_time,
+        predict_once=lambda: model.predict(probe),
+        solve_once=lambda: solve_fdm(problem, cfg.n_nodes),
+        n_predictions=cfg.cost_spec.n_predictions,
+        repetitions=cfg.cost_spec.repetitions,
+    )
+    verdict = costs.summary(
+        ledger, diverged=train_report.stop_reason == "diverged", rmse_test=eval_report.rmse_test
+    )
+
+    curve = sweep = None
+    if cfg.data_curve is not None:
+        curve = data_requirement_curve(
+            space, cfg.n_nodes, cfg.data_curve.sizes, cfg.data_curve.seeds, layer_sizes,
+            cfg.train, ratios=cfg.split_ratios, transfers=transfers,
+        )
+    if cfg.arch_sweep is not None:
+        sweep = architecture_sweep(
+            dataset,
+            [(3, *hidden, cfg.n_nodes) for hidden in cfg.arch_sweep],
+            cfg.train,
+            trained=(model, train_report),
+        )
+    return SurrogateRun(dataset, model, train_report, eval_report, verdict, curve, sweep)

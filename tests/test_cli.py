@@ -9,7 +9,7 @@ from poissonlab import costs, surrogate
 from poissonlab.cli import main
 from poissonlab.config import load_config, parse_config
 from poissonlab.errors import ConfigError
-from poissonlab.fileio import read_json, sha256_file
+from poissonlab.fileio import read_json, sha256_file, write_json
 
 SPACE = {
     "g_range": [0.0, 4.0],
@@ -183,6 +183,54 @@ def test_exit_four_on_missing_manifest(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+PROBLEM_JSON = b'{"problem": {"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}}'
+
+
+@pytest.mark.parametrize(
+    "argv, files, code, message",
+    [
+        (["solve", "--config", "{tmp}"], {}, 2, "cannot read"),
+        (["solve", "--config", "{tmp}/c.json"], {"c.json": b'{"n_nodes": \xff}'}, 2, "cannot read"),
+        (["solve", "--config", "{tmp}/c.json", "--out", "{tmp}/taken"],
+         {"c.json": PROBLEM_JSON, "taken": b""}, 2, "output directory"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b'{"files": '}, 4, "not a JSON document"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b"[]"}, 4, "must hold a JSON object"),
+    ],
+    ids=["config-is-a-directory", "config-not-utf8", "out-is-a-file", "manifest-invalid-json",
+         "manifest-not-an-object"],
+)
+def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, code, message):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("config error" if code == 2 else "missing input")
+
+
+@pytest.mark.parametrize(
+    "command, source, section, key, value, message",
+    [
+        ("surrogate", "configs/surrogate_minimal.json", "eval", "n_fresh", 0, "eval.n_fresh: must be >= 1"),
+        ("surrogate", "configs/surrogate_minimal.json", "costs", "repetitions", 0,
+         "costs.repetitions: must be >= 1"),
+        ("surrogate", "configs/surrogate_minimal.json", "costs", "n_predictions", -1,
+         "costs.n_predictions: must be >= 0"),
+        ("surrogate", "configs/surrogate_minimal.json", "data_curve", "sizes", [8, 0],
+         "data_curve.sizes[1]: must be >= 1"),
+        ("fit", "configs/fit_demo.json", "regression", "n", 1, "regression.n: must be >= 2"),
+    ],
+    ids=["n_fresh-0", "repetitions-0", "n_predictions-negative", "curve-size-0", "regression-n-1"],
+)
+def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, section, key, value, message):
+    doc = json.loads(Path(source).read_text())
+    doc[section][key] = value
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
 # -- solve -------------------------------------------------------------
 
 
@@ -266,6 +314,47 @@ def surrogate_run(tmp_path_factory):
     rc = main(["surrogate", "--config", str(config_path), "--out", str(out / "run")])
     assert rc == 0
     return out / "run"
+
+
+def test_surrogate_run_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run = surrogate.run(parse_config(SURROGATE_DOC))
+    assert list(tmp_path.iterdir()) == []
+    assert run.dataset.n_samples == SPACE["n_samples"]
+    assert run.data_curve is None and run.arch_sweep is None
+
+
+# Fields of cost_ledger.json that are timings or follow from them.
+LEDGER_TIMINGS = {
+    "t_dg", "t_nt", "t_pr", "t_solve", "pr_samples", "solve_samples", "cold_prediction",
+    "total_time", "break_even",
+}
+
+
+def test_surrogate_run_returns_what_the_cli_writes(surrogate_run, tmp_path):
+    run = surrogate.run(parse_config(SURROGATE_DOC))
+    write_json(tmp_path / "eval_report.json", run.eval_report)
+    write_json(tmp_path / "cost_ledger.json", run.ledger)
+    assert read_json(tmp_path / "eval_report.json") == read_json(surrogate_run / "eval_report.json")
+    returned = read_json(tmp_path / "cost_ledger.json")
+    written = read_json(surrogate_run / "cost_ledger.json")
+    assert returned.keys() == written.keys()
+    assert LEDGER_TIMINGS < set(written)
+    untimed = set(written) - LEDGER_TIMINGS
+    assert {k: returned[k] for k in untimed} == {k: written[k] for k in untimed}
+
+
+def test_failed_surrogate_run_writes_nothing(tmp_path, capsys):
+    # Grid sampling needs a perfect-cube sample count, so the data curve's
+    # second size fails after the main model is trained and evaluated.
+    doc = json.loads(json.dumps(SURROGATE_DOC))
+    doc["space"].update({"sampling": "grid", "n_samples": 8})
+    doc["data_curve"] = {"sizes": [8, 9], "seeds": [0]}
+    doc["train"]["max_epochs"] = 50
+    out = tmp_path / "out"
+    assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert "perfect-cube" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
 
 
 def test_surrogate_manifest_lists_every_file(surrogate_run):

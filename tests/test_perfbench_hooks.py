@@ -6,11 +6,13 @@ hook instead. The tracer is loaded from its file and not modified.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -34,3 +36,30 @@ def test_tracer_hook_resolves_and_is_restored(hook):
     finally:
         recorder.restore()
     assert getattr(owner, attr) is original
+
+
+def test_every_pipeline_hook_records_calls_in_a_surrogate_run(tmp_path, capsys):
+    # A call moved off a hooked attribute would silently zero its --trace 1
+    # metric; a run with --seed, a sweep and a data curve reaches every hook.
+    from poissonlab import cli
+
+    doc = json.loads((ROOT / "configs" / "surrogate_minimal.json").read_text())
+    doc["n_nodes"] = 21
+    doc["train"]["max_epochs"] = 200
+    doc["data_curve"] = {"sizes": [8], "seeds": [0]}
+    doc["arch_sweep"] = [[], [4]]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    recorder = tracer.Tracer()
+    try:
+        tracer.install(recorder, tracer.PIPELINE_HOOKS)
+        argv = ["surrogate", "--config", str(config), "--out", str(tmp_path / "run"), "--seed", "5"]
+        assert cli.main(argv) == 0
+    finally:
+        recorder.restore()
+    calls = {name: row["calls"] for name, row in recorder.summarize().items()}
+    # Training calls the fused ann._loss_and_gradients, so these two spans
+    # already read 0 (ROADMAP item 1).
+    silent = {name for _, _, name in tracer.PIPELINE_HOOKS if not calls.get(name)}
+    assert silent <= {"ann.loss_sse", "ann.gradients"}
+    assert calls["pde.solve_fdm"] == doc["costs"]["repetitions"]
