@@ -9,6 +9,12 @@ length is BENCHMARK.json's `run_seconds`. The ref is exported with
 `git archive` into a temporary directory (honouring TMPDIR), so only its
 committed files run and nothing is registered in the repository.
 
+Both sides start from the same bytecode state: each gets its own empty
+PYTHONPYCACHEPREFIX under the temporary directory (bytecode writing on,
+whatever PYTHONDONTWRITEBYTECODE says), which one short warm-up run fills
+before the first pair. A `__pycache__` the working tree already has is
+then never read, so import time is compared like for like.
+
 Writes BENCH_<label>.json at the repository root: the machine
 descriptor, every pair's metrics on both sides, and for each end-to-end
 metric each side's median and quartiles, the number of pairs the working
@@ -45,10 +51,17 @@ def export(ref: str, into: Path) -> str:
     return sha
 
 
-def run_benchmark(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One `perfbench/run.py --trace 0` in checkout; its summary line and environment."""
+def side_env(pycache: Path) -> dict:
+    """The environment of one side's runs: its own bytecode cache, its own src/."""
     env = dict(os.environ)
-    env.pop("PYTHONPATH", None)  # each side imports its own src/
+    env.pop("PYTHONPATH", None)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    return env
+
+
+def run_benchmark(checkout: Path, env: dict, workload: str, seed: int, seconds: int) -> dict:
+    """One `perfbench/run.py --trace 0` in checkout; its summary line and environment."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -117,14 +130,18 @@ def main() -> int:
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        ref_tree = Path(tmp)
+        ref_tree = Path(tmp) / "ref"
         sha = export(args.ref, ref_tree)
+        sides = {"ref": (ref_tree, side_env(Path(tmp) / "pycache_ref")),
+                 "change": (ROOT, side_env(Path(tmp) / "pycache_change"))}
+        for checkout, env in sides.values():
+            run_benchmark(checkout, env, args.workload, args.seed, 1)  # fills the bytecode cache
         for k in range(args.pairs):
             seed = args.seed + k
             order = ("ref", "change") if k % 2 == 0 else ("change", "ref")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_benchmark(ref_tree if side == "ref" else ROOT, args.workload, seed, seconds)
+                pair[side] = run_benchmark(*sides[side], args.workload, seed, seconds)
             print(f"pair {k + 1}/{args.pairs} seed {seed}: failed ref {pair['ref']['failed']}, "
                   f"change {pair['change']['failed']}", flush=True)
             pairs.append(pair)

@@ -168,7 +168,7 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
         # Back substitution in place: the last row already holds u.
         for i in reversed(range(len(ratios))):
             prev = work[i] = work[i] - ratios[i] * prev
-        return np.array(work)
+        return np.fromiter(work, float, len(work))
 
     work = np.empty_like(rhs)
     work[0] = rhs[0] / pivots[0]

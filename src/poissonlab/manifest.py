@@ -58,14 +58,23 @@ def write_manifest(out_dir, config_doc: dict, seeds: dict, timings: dict, files:
     return write_json(out_dir / MANIFEST_NAME, doc)
 
 
-def load_manifest(run_dir) -> dict:
-    path = Path(run_dir) / MANIFEST_NAME
-    if not path.exists():
-        raise FileNotFoundError(f"no {MANIFEST_NAME} in {run_dir}")
+def read_run_file(path) -> dict:
+    """A run's JSON artifact, which must hold an object; InputError if it does not."""
     try:
         doc = read_json(path)
     except ValueError as exc:  # invalid JSON or not UTF-8
         raise InputError(f"{path} is not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_manifest(run_dir) -> dict:
+    path = Path(run_dir) / MANIFEST_NAME
+    if not path.exists():
+        raise FileNotFoundError(f"no {MANIFEST_NAME} in {run_dir}")
+    doc = read_run_file(path)
+    for key in ("config", "machine"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise InputError(f"{path}: {key} must be a JSON object, got {type(doc[key]).__name__}")
     return doc

@@ -8,6 +8,7 @@ must agree to rounding error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,7 +72,7 @@ class SolutionField:
         if self.nodes.shape[0] != self.values.shape[0] or self.nodes.shape[0] < 2:
             raise ShapeError("nodes and values must share a length >= 2")
         # Written as a positive test so that NaN nodes fail it too.
-        if not np.all(self.nodes[1:] > self.nodes[:-1]):
+        if not (self.nodes[1:] > self.nodes[:-1]).all():
             raise ParameterError("nodes must be strictly increasing")
         if self.provenance not in PROVENANCES:
             raise ParameterError(f"unknown provenance {self.provenance!r}")
@@ -81,10 +82,34 @@ class SolutionField:
         return [(x, y, self.provenance) for x, y in zip(self.nodes, self.values)]
 
 
+# The grids and interior Laplacians of the last few grids solved on: a run
+# needs its own grid and the finer one of the transfer check. Cached
+# arrays are read-only, so no caller can change what a later solve gets.
+# typed=True keeps a float n_nodes from being served an int's entry: it
+# raises, as linspace and np.full do.
+@functools.lru_cache(maxsize=4, typed=True)
+def _grid(x0: float, x1: float, n_nodes: int, x1_sign: float) -> np.ndarray:
+    """np.linspace(x0, x1, n_nodes). The grid ends on x1 itself, so x1_sign
+    keeps apart the keys of x1 = 0.0 and -0.0, which compare equal."""
+    x = np.linspace(x0, x1, n_nodes)
+    x.flags.writeable = False
+    return x
+
+
+@functools.lru_cache(maxsize=4, typed=True)
+def _laplacian(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The off-diagonal (-1) and diagonal (2) of the m x m matrix [-1, 2, -1]."""
+    off_diagonal, diagonal = np.full(m - 1, -1.0), np.full(m, 2.0)
+    off_diagonal.flags.writeable = diagonal.flags.writeable = False
+    return off_diagonal, diagonal
+
+
 def uniform_grid(problem: PoissonProblem, n_nodes: int) -> np.ndarray:
+    """The n_nodes equispaced nodes of [x0, x1], as a read-only array."""
     if n_nodes < 2:
         raise ParameterError(f"n_nodes must be >= 2, got {n_nodes}")
-    return np.linspace(problem.x0, problem.x1, n_nodes)
+    x0, x1 = float(problem.x0), float(problem.x1)
+    return _grid(x0, x1, n_nodes, math.copysign(1.0, x1))
 
 
 def solve_analytic(problem: PoissonProblem, n_nodes: int) -> SolutionField:
@@ -116,7 +141,7 @@ def fdm_values(g, y0, y1, x0: float, x1: float, n_nodes: int) -> np.ndarray:
         raise ParameterError(f"n_nodes must be >= 3 for the FDM grid, got {n_nodes}")
     _check_parameters(g, x0, x1, y0, y1)
     h = (x1 - x0) / (n_nodes - 1)
-    m = n_nodes - 2
+    off_diagonal, diagonal = _laplacian(n_nodes - 2)
     # Nodes run down axis 0, problems across axis 1; the interior rows
     # double as the right-hand side until the solve overwrites them.
     values = np.empty((n_nodes, *getattr(g, "shape", ())))
@@ -126,8 +151,7 @@ def fdm_values(g, y0, y1, x0: float, x1: float, n_nodes: int) -> np.ndarray:
     rhs[...] = g * h * h
     rhs[0] += y0
     rhs[-1] += y1
-    off_diagonal = np.full(m - 1, -1.0)
-    system = TridiagonalSystem(sub=off_diagonal, diag=np.full(m, 2.0), sup=off_diagonal, rhs=rhs)
+    system = TridiagonalSystem(sub=off_diagonal, diag=diagonal, sup=off_diagonal, rhs=rhs)
     values[1:-1] = solve_tridiagonal(system)
     return np.ascontiguousarray(values.T)
 

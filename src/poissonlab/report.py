@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .fileio import read_json
-from .manifest import load_manifest
+from .manifest import load_manifest, read_run_file
 
 
 def _num(value, spec: str, unit: str = "") -> str:
@@ -33,7 +32,7 @@ def _fmt_rmse(value) -> str:
 
 def _optional_json(run_dir: Path, name: str):
     path = run_dir / name
-    return read_json(path) if path.exists() else None
+    return read_run_file(path) if path.exists() else None
 
 
 def _machine_line(manifest: dict) -> str:

@@ -195,9 +195,16 @@ PROBLEM_JSON = b'{"problem": {"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0
          {"c.json": PROBLEM_JSON, "taken": b""}, 2, "output directory"),
         (["report", "--run", "{tmp}"], {"manifest.json": b'{"files": '}, 4, "not a JSON document"),
         (["report", "--run", "{tmp}"], {"manifest.json": b"[]"}, 4, "must hold a JSON object"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b"{}", "eval_report.json": b"{"}, 4,
+         "eval_report.json is not a JSON document"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b"{}", "cost_ledger.json": b"[1]"}, 4,
+         "cost_ledger.json must hold a JSON object"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b'{"config": []}'}, 4, "config must be a JSON object"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b'{"machine": "x"}'}, 4, "machine must be a JSON object"),
     ],
     ids=["config-is-a-directory", "config-not-utf8", "out-is-a-file", "manifest-invalid-json",
-         "manifest-not-an-object"],
+         "manifest-not-an-object", "artifact-invalid-json", "artifact-not-an-object",
+         "manifest-config-not-an-object", "manifest-machine-not-an-object"],
 )
 def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, code, message):
     for name, data in files.items():

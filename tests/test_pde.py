@@ -3,12 +3,14 @@ import numpy.testing as npt
 import pytest
 
 from poissonlab.errors import ParameterError
+from poissonlab.linalg import TridiagonalSystem, solve_tridiagonal
 from poissonlab.pde import (
     PoissonProblem,
     SolutionField,
     fdm_values,
     solve_analytic,
     solve_fdm,
+    uniform_grid,
 )
 
 
@@ -110,6 +112,63 @@ def test_batched_fdm_rows_equal_single_solves(n_nodes):
     for i in range(17):
         single = solve_fdm(PoissonProblem(g[i], x0, x1, y0[i], y1[i]), n_nodes)
         npt.assert_array_equal(batch[i], single.values)
+
+
+def fresh_thomas_values(g, y0, y1, x0, x1, n_nodes):
+    """The FD solution through a TridiagonalSystem built from scratch."""
+    h = (x1 - x0) / (n_nodes - 1)
+    m = n_nodes - 2
+    rhs = np.full(m, g * h * h)
+    rhs[0] += y0
+    rhs[-1] += y1
+    off = np.full(m - 1, -1.0)
+    interior = solve_tridiagonal(TridiagonalSystem(sub=off, diag=np.full(m, 2.0), sup=off, rhs=rhs))
+    return np.concatenate(([y0], interior, [y1])).astype(float)
+
+
+@pytest.mark.parametrize("n_nodes", [3, 4, 101, 1001])
+@pytest.mark.parametrize("kind", [int, float, np.float64])
+def test_single_solve_is_bit_identical_to_batch_row_and_fresh_system(n_nodes, kind):
+    for row in ((3, -2, 1, -1, 2), (-7, 4, 0, 0, 5), (1, 1, 1, 2, 3)):
+        g, y0, y1, x0, x1 = map(kind, row)
+        field = solve_fdm(PoissonProblem(g, x0, x1, y0, y1), n_nodes)
+        assert field.values.tobytes() == fresh_thomas_values(g, y0, y1, x0, x1, n_nodes).tobytes()
+        assert field.nodes.tobytes() == np.linspace(x0, x1, n_nodes).tobytes()
+        batch = fdm_values(np.array([g, 0.5]), np.array([y0, -3.0]), np.array([y1, 2.0]), x0, x1, n_nodes)
+        assert field.values.tobytes() == batch[0].tobytes()
+
+
+def test_returned_arrays_cannot_change_a_later_solve():
+    problem = PoissonProblem(2.5, -1.0, 3.0, 0.5, 1.5)
+    expected = solve_fdm(problem, 41)
+    expected_values, expected_nodes = expected.values.copy(), expected.nodes.copy()
+    expected.values[:] = 7.0
+    fdm_values(2.5, 0.5, 1.5, -1.0, 3.0, 41)[:] = 7.0
+    solve_analytic(problem, 41).values[:] = 7.0
+    for nodes in (expected.nodes, solve_analytic(problem, 41).nodes, uniform_grid(problem, 41)):
+        with pytest.raises(ValueError):
+            nodes[0] = 7.0
+    again = solve_fdm(problem, 41)
+    npt.assert_array_equal(again.values, expected_values)
+    npt.assert_array_equal(again.nodes, expected_nodes)
+    npt.assert_array_equal(solve_analytic(problem, 41).nodes, expected_nodes)
+
+
+def test_domains_with_the_same_node_count_get_their_own_grids():
+    fields = [solve_fdm(PoissonProblem(1.0, x0, x1, 0.0, 0.0), 11) for x0, x1 in ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0))]
+    for field, (x0, x1) in zip(fields, ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0))):
+        npt.assert_array_equal(field.nodes, np.linspace(x0, x1, 11))
+    # 0.0 == -0.0, but a grid ends on x1 itself, sign and all.
+    ends = [uniform_grid(PoissonProblem(0.0, -1.0, x1, 0.0, 0.0), 5)[-1] for x1 in (0.0, -0.0, 0.0)]
+    assert [np.signbit(end) for end in ends] == [False, True, False]
+
+
+def test_a_float_node_count_is_refused_even_when_its_grid_is_cached():
+    problem = PoissonProblem(1.0, 0.0, 1.0, 0.0, 0.0)
+    solve_fdm(problem, 11)
+    for solve in (uniform_grid, solve_analytic, solve_fdm):
+        with pytest.raises(TypeError):
+            solve(problem, 11.0)
 
 
 def test_batched_fdm_names_the_first_bad_sample():

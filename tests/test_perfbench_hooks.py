@@ -63,3 +63,20 @@ def test_every_pipeline_hook_records_calls_in_a_surrogate_run(tmp_path, capsys):
     silent = {name for _, _, name in tracer.PIPELINE_HOOKS if not calls.get(name)}
     assert silent <= {"ann.loss_sse", "ann.gradients"}
     assert calls["pde.solve_fdm"] == doc["costs"]["repetitions"]
+
+
+def test_query_hooks_see_the_solver_inside_one_solve():
+    # The query workload times pde.solve_fdm and, below it, the Thomas solve
+    # through pde's solve_tridiagonal; a fast path around that name would
+    # read as a zero linalg time on working code.
+    from poissonlab import pde
+
+    recorder = tracer.Tracer()
+    try:
+        tracer.install(recorder, tracer.QUERY_HOOKS)
+        pde.solve_fdm(pde.PoissonProblem(1.5, 0.0, 1.0, 0.25, -0.5), 101)
+    finally:
+        recorder.restore()
+    calls = {name: row["calls"] for name, row in recorder.summarize().items()}
+    assert calls.get("pde.solve_fdm") == 1
+    assert calls.get("linalg.solve_tridiagonal") == 1
