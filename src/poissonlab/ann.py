@@ -10,6 +10,7 @@ enough learning rates and the lab measures that boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -24,9 +25,10 @@ from .errors import ParameterError, ShapeError
 class TransferFunction:
     """Elementwise activation a = f(n) and its derivative f' written in terms of a.
 
-    `apply` may overwrite its argument and returns a. `derivative` is None
-    when f' is 1 everywhere (purelin): backpropagation then skips the
-    multiply, which changes nothing because x * 1.0 == x exactly.
+    `apply` may overwrite its argument n and returns a; `derivative` may
+    overwrite its argument a and returns f'. `derivative` is None when f'
+    is 1 everywhere (purelin): backpropagation then skips the multiply,
+    which changes nothing because x * 1.0 == x exactly.
     """
 
     tag: str
@@ -39,7 +41,7 @@ TRANSFERS = {
     "tanh": TransferFunction(
         tag="tanh",
         apply=lambda n: np.tanh(n, out=n),
-        derivative=lambda a: 1.0 - a * a,
+        derivative=lambda a: np.subtract(1.0, np.multiply(a, a, out=a), out=a),
     ),
 }
 
@@ -188,12 +190,21 @@ def predict_batch(model: MlpModel, inputs) -> np.ndarray:
     return _forward_trace(model, a0)[-1]
 
 
-def _forward_trace(model: MlpModel, a0: np.ndarray) -> list:
-    """The activation entering each layer, then the output: [a0, ..., aL]."""
+# A forward pass without buffers: None for every layer, however many.
+_UNBUFFERED = itertools.repeat(None)
+
+
+def _forward_trace(model: MlpModel, a0: np.ndarray, outputs=_UNBUFFERED) -> list:
+    """The activation entering each layer, then the output: [a0, ..., aL].
+
+    With `outputs`, one (rows, size) buffer per layer, each layer writes
+    its output into its buffer instead of a new array.
+    """
     activations = [a0]
     a = a0
-    for w, b, transfer in zip(model.weights, model.biases, model._transfer_fns):
-        z = a @ w.T
+    for w, b, transfer, out in zip(model.weights, model.biases, model._transfer_fns, outputs):
+        # `@` is the cheaper call when there is no buffer (one-row predictions).
+        z = a @ w.T if out is None else np.matmul(a, w.T, out=out)
         z += b
         a = transfer.apply(z)
         activations.append(a)
@@ -229,18 +240,79 @@ def _loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple:
 
     x and y must already have passed _as_pair; nothing is checked here.
     """
-    activations = _forward_trace(model, x)
-    e = y - activations[-1]
-    delta = -2.0 * e
-    grads = [None] * model.n_layers
-    for k in reversed(range(model.n_layers)):
-        derivative = model._transfer_fns[k].derivative
-        if derivative is not None:
-            delta *= derivative(activations[k + 1])
-        grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
-        if k > 0:
-            delta = delta @ model.weights[k]
-    return float((e * e).sum()), grads
+    epoch = _Epoch(model, x, y)
+    return epoch.loss_and_gradients(), epoch.grads
+
+
+def _flat_layers(flat: np.ndarray, layer_sizes: tuple) -> list:
+    """Per-layer (weights, bias) views into one flat vector, laid out
+    layer by layer with each layer's weights (row-major) before its bias."""
+    views, start = [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        bias_start = start + fan_out * fan_in
+        views.append(
+            (flat[start:bias_start].reshape(fan_out, fan_in), flat[bias_start : bias_start + fan_out])
+        )
+        start = bias_start + fan_out
+    return views
+
+
+class _Epoch:
+    """One full-batch epoch on fixed (x, y), with every array allocated up front.
+
+    `model` is a copy of the given model whose weights and biases are
+    views into one flat vector `theta`; `grads` are views of the same
+    layout into `grad`, so a descent step is two whole-vector calls.
+    Each layer's output, the residual, its square and each hidden
+    layer's delta get one buffer, allocated here and reused by every
+    epoch. The backward pass overwrites each layer output with f' once
+    nothing else reads it, so the buffers hold no activations after
+    `loss_and_gradients`.
+    """
+
+    def __init__(self, model: MlpModel, x: np.ndarray, y: np.ndarray):
+        sizes = model.layer_sizes
+        n_params = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        self.theta = np.empty(n_params)
+        self.grad = np.empty(n_params)
+        params = _flat_layers(self.theta, sizes)
+        for (w, b), w0, b0 in zip(params, model.weights, model.biases):
+            w[...] = w0
+            b[...] = b0
+        self.model = MlpModel(
+            layer_sizes=sizes,
+            weights=[w for w, _ in params],
+            biases=[b for _, b in params],
+            transfers=model.transfers,
+        )
+        self.grads = _flat_layers(self.grad, sizes)
+        rows = x.shape[0]
+        self.x, self.y = x, y
+        self.outputs = [np.empty((rows, size)) for size in sizes[1:]]
+        self.deltas = [np.empty((rows, size)) for size in sizes[1:-1]]
+        self.residual = np.empty((rows, sizes[-1]))
+        # The square reuses the output's buffer unless the backward pass
+        # still reads the output there (f' of a tanh output layer).
+        reads_output = self.model._transfer_fns[-1].derivative is not None
+        self.square = np.empty((rows, sizes[-1])) if reads_output else self.outputs[-1]
+
+    def loss_and_gradients(self) -> float:
+        """The loss at `theta`; leaves dL/dtheta in `grad`."""
+        model = self.model
+        activations = _forward_trace(model, self.x, self.outputs)
+        e = np.subtract(self.y, activations[-1], out=self.residual)
+        loss = float(np.multiply(e, e, out=self.square).sum())
+        delta = np.multiply(e, -2.0, out=e)
+        for k in reversed(range(model.n_layers)):
+            derivative = model._transfer_fns[k].derivative
+            if derivative is not None:
+                delta *= derivative(activations[k + 1])
+            dw, db = self.grads[k]
+            np.matmul(delta.T, activations[k], out=dw)
+            delta.sum(axis=0, out=db)
+            if k > 0:
+                delta = np.matmul(delta, model.weights[k], out=self.deltas[k - 1])
+        return loss
 
 
 def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
@@ -252,15 +324,16 @@ def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
     model copy and a TrainReport.
     """
     started = time.perf_counter()
-    m = model.copy()
-    x, y = _as_pair(m, inputs, targets)
+    x, y = _as_pair(model, inputs, targets)
+    epoch = _Epoch(model, x, y)
+    theta, grad, rate = epoch.theta, epoch.grad, cfg.learning_rate
     history: list[float] = []
     prev = math.inf
     stop_reason = "max_epochs"
     # Divergence is a recorded outcome, so let overflow run to inf quietly.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_epochs):
-            loss, grads = _loss_and_gradients(m, x, y)
+            loss = epoch.loss_and_gradients()
             history.append(loss)
             if not math.isfinite(loss):
                 stop_reason = "diverged"
@@ -269,16 +342,15 @@ def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
                 stop_reason = "converged"
                 break
             prev = loss
-            for (w, b), (dw, db) in zip(zip(m.weights, m.biases), grads):
-                w -= cfg.learning_rate * dw
-                b -= cfg.learning_rate * db
+            grad *= rate
+            theta -= grad
     report = TrainReport(
         loss_history=history,
         epochs_run=len(history),
         stop_reason=stop_reason,
         wall_time=time.perf_counter() - started,
     )
-    return m, report
+    return epoch.model, report
 
 
 def check_gradients(model: MlpModel, inputs, targets, step: float = 1e-6) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .errors import InputError
 from .manifest import load_manifest, read_run_file
 
 
@@ -47,8 +48,17 @@ def _machine_line(manifest: dict) -> str:
 
 
 def build_report(run_dir) -> str:
-    """Question-by-question summary of one run; pure function of the files."""
-    run_dir = Path(run_dir)
+    """Question-by-question summary of one run; pure function of the files.
+
+    Raises InputError when a run file lacks a key the report reads.
+    """
+    try:
+        return _report(Path(run_dir))
+    except KeyError as exc:
+        raise InputError(f"a run file in {run_dir} has no key {exc.args[0]!r}") from None
+
+
+def _report(run_dir: Path) -> str:
     manifest = load_manifest(run_dir)
     ledger_doc = _optional_json(run_dir, "cost_ledger.json")
     train_doc = _optional_json(run_dir, "train_report.json")

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -18,6 +20,9 @@ from poissonlab.ann import (
     train_steepest_descent,
 )
 from poissonlab.errors import ParameterError, ShapeError
+
+ROOT = Path(__file__).resolve().parent.parent
+SURROGATE_TANH = json.loads((ROOT / "configs" / "surrogate_tanh.json").read_text())
 
 
 def siso(w, b, transfer="purelin"):
@@ -304,13 +309,32 @@ def two_pass_reference_descent(model, x, y, cfg):
     return weights, biases, history, stop_reason
 
 
+def assert_trains_like_reference(model, x, y, cfg):
+    """Training must give the reference's models and loss history bit for
+    bit; returns the stop reason."""
+    weights, biases, history, stop_reason = two_pass_reference_descent(model, x, y, cfg)
+    trained, report = train_steepest_descent(model, x, y, cfg)
+    assert report.stop_reason == stop_reason, model.layer_sizes
+    npt.assert_array_equal(report.loss_history, history)
+    for k in range(trained.n_layers):
+        npt.assert_array_equal(trained.weights[k], weights[k])
+        npt.assert_array_equal(trained.biases[k], biases[k])
+    return stop_reason
+
+
+def profile_batch(rows, seed):
+    """Inputs in [-0.5, 0.5]^3 and 101-node profiles that depend on them."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5, 0.5, size=(rows, 3))
+    grid = np.linspace(0.0, 1.0, 101)
+    y = x[:, [0]] * grid * (1.0 - grid) + x[:, [1]] * (1.0 - grid) + x[:, [2]] * grid
+    return x, y
+
+
 def test_train_matches_two_pass_reference_loop():
     # The one-trace epoch (derivatives from the layer outputs, no multiply
     # for purelin) must give bit-identical models and loss histories.
-    rng = np.random.default_rng(4)
-    x = rng.uniform(-0.5, 0.5, size=(40, 3))
-    grid = np.linspace(0.0, 1.0, 101)
-    y = x[:, [0]] * grid * (1.0 - grid) + x[:, [1]] * (1.0 - grid) + x[:, [2]] * grid
+    x, y = profile_batch(40, seed=4)
     cases = [
         ((3, 101), None, 2e-3, 0.1),
         ((3, 8, 101), None, 5e-4, 1e-12),
@@ -322,15 +346,33 @@ def test_train_matches_two_pass_reference_loop():
     for layer_sizes, transfers, rate, tolerance in cases:
         model = init_mlp(layer_sizes, transfers=transfers, seed=0)
         cfg = TrainConfig(learning_rate=rate, stop_tolerance=tolerance, max_epochs=200)
-        weights, biases, history, stop_reason = two_pass_reference_descent(model, x, y, cfg)
-        trained, report = train_steepest_descent(model, x, y, cfg)
-        assert report.stop_reason == stop_reason, layer_sizes
-        npt.assert_array_equal(report.loss_history, history)
-        for k in range(trained.n_layers):
-            npt.assert_array_equal(trained.weights[k], weights[k])
-            npt.assert_array_equal(trained.biases[k], biases[k])
-        stop_reasons.add(stop_reason)
+        stop_reasons.add(assert_trains_like_reference(model, x, y, cfg))
     assert stop_reasons == {"converged", "max_epochs", "diverged"}
+
+
+def test_train_matches_two_pass_reference_on_a_wide_batch():
+    # wide-datagen's shape: a purelin [3, 101] net on 1,600 rows.
+    x, y = profile_batch(1600, seed=6)
+    cfg = TrainConfig(learning_rate=3e-4, stop_tolerance=1e-12, max_epochs=60)
+    model = init_mlp((3, 101), seed=0)
+    assert assert_trains_like_reference(model, x, y, cfg) == "max_epochs"
+
+
+@pytest.mark.parametrize(
+    "hidden", SURROGATE_TANH["arch_sweep"], ids=lambda h: "-".join(map(str, h)) or "none"
+)
+def test_train_matches_two_pass_reference_on_surrogate_tanh_sweep(hidden):
+    # Each arch_sweep layout of surrogate_tanh.json with the config's
+    # transfers, learning rate and tolerance, on a batch of its train size.
+    arch, train = SURROGATE_TANH["arch"], SURROGATE_TANH["train"]
+    layer_sizes = (3, *hidden, SURROGATE_TANH["n_nodes"])
+    transfers = (arch["hidden_transfer"],) * len(hidden) + (arch["output_transfer"],)
+    x, y = profile_batch(52, seed=9)
+    cfg = TrainConfig(
+        learning_rate=train["learning_rate"], stop_tolerance=train["stop_tolerance"], max_epochs=300
+    )
+    model = init_mlp(layer_sizes, transfers=transfers, seed=train["init_seed"])
+    assert_trains_like_reference(model, x, y, cfg)
 
 
 def test_train_does_not_mutate_input_model():
@@ -340,6 +382,33 @@ def test_train_does_not_mutate_input_model():
     train_steepest_descent(model, ds.inputs, ds.targets, cfg)
     assert model.weights[0][0, 0] == 1.0
     assert model.biases[0][0] == -1.0
+
+
+def test_trained_model_owns_its_arrays():
+    # Training works on one flat parameter vector; the model it returns
+    # must share storage with neither the start model nor another run.
+    x, y = profile_batch(20, seed=2)
+    cfg = TrainConfig(learning_rate=5e-4, stop_tolerance=1e-12, max_epochs=30)
+    start = init_mlp((3, 4, 101), seed=1)
+    saved = start.copy()
+
+    def assert_same(a, b):
+        for k in range(a.n_layers):
+            npt.assert_array_equal(a.weights[k], b.weights[k])
+            npt.assert_array_equal(a.biases[k], b.biases[k])
+
+    first, _ = train_steepest_descent(start, x, y, cfg)
+    second, _ = train_steepest_descent(start, x, y, cfg)
+    assert_same(start, saved)
+    assert_same(first, second)
+    expected = second.copy()
+    for w, b in zip(first.weights, first.biases):
+        w[...] = 7.0
+        b[...] = -7.0
+    third, _ = train_steepest_descent(start, x, y, cfg)
+    assert_same(second, expected)
+    assert_same(third, expected)
+    assert_same(start, saved)
 
 
 def test_train_config_validation():

@@ -201,10 +201,15 @@ PROBLEM_JSON = b'{"problem": {"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0
          "cost_ledger.json must hold a JSON object"),
         (["report", "--run", "{tmp}"], {"manifest.json": b'{"config": []}'}, 4, "config must be a JSON object"),
         (["report", "--run", "{tmp}"], {"manifest.json": b'{"machine": "x"}'}, 4, "machine must be a JSON object"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b'{"config": {"train": {}}, "machine": {}}'}, 4,
+         "has no key 'learning_rate'"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b"{}", "cost_ledger.json": b'{"t_dg": 1}'}, 4,
+         "has no key 'break_even'"),
     ],
     ids=["config-is-a-directory", "config-not-utf8", "out-is-a-file", "manifest-invalid-json",
          "manifest-not-an-object", "artifact-invalid-json", "artifact-not-an-object",
-         "manifest-config-not-an-object", "manifest-machine-not-an-object"],
+         "manifest-config-not-an-object", "manifest-machine-not-an-object",
+         "manifest-train-lacks-a-key", "ledger-lacks-a-key"],
 )
 def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, code, message):
     for name, data in files.items():
