@@ -405,9 +405,10 @@ def test_trained_model_owns_its_arrays():
     for w, b in zip(first.weights, first.biases):
         w[...] = 7.0
         b[...] = -7.0
-    third, _ = train_steepest_descent(start, x, y, cfg)
     assert_same(second, expected)
+    third, _ = train_steepest_descent(start, x, y, cfg)
     assert_same(third, expected)
+    assert_same(second, expected)
     assert_same(start, saved)
 
 
