@@ -60,20 +60,24 @@ def side_env(pycache: Path) -> dict:
     return env
 
 
-def run_benchmark(checkout: Path, env: dict, workload: str, seed: int, seconds: int) -> dict:
-    """One `perfbench/run.py --trace 0` in checkout; its summary line and environment."""
+def run_benchmark(checkout: Path, env: dict, workload: str, seed: int, seconds: int, first: str) -> dict:
+    """One `perfbench/run.py --trace 0` in checkout; its summary line and environment.
+
+    The environment comes from the output file of `first`, the workload (the
+    first one under "all") that this run has just written.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
     )
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
-    first = sorted((checkout / ".perfbench_out").glob(f"BENCH_*_seed{seed}_trace0.json"))[0]
+    record = checkout / ".perfbench_out" / f"BENCH_{first}_seed{seed}_trace0.json"
     return {
         "attempted": summary["attempted"],
         "failed": summary["failed"],
         "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
-        "environment": json.loads(first.read_text(encoding="utf-8"))["environment"],
+        "environment": json.loads(record.read_text(encoding="utf-8"))["environment"],
     }
 
 
@@ -127,6 +131,8 @@ def main() -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = benchmark["run_seconds"]
     specs = {m["name"]: m for m in benchmark["end_to_end"]}
+    # BENCHMARK.json lists the workloads in the order perfbench/run.py runs them under "all".
+    first = benchmark["workloads"][0]["name"] if args.workload == "all" else args.workload
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -135,13 +141,13 @@ def main() -> int:
         sides = {"ref": (ref_tree, side_env(Path(tmp) / "pycache_ref")),
                  "change": (ROOT, side_env(Path(tmp) / "pycache_change"))}
         for checkout, env in sides.values():
-            run_benchmark(checkout, env, args.workload, args.seed, 1)  # fills the bytecode cache
+            run_benchmark(checkout, env, args.workload, args.seed, 1, first)  # fills the bytecode cache
         for k in range(args.pairs):
             seed = args.seed + k
             order = ("ref", "change") if k % 2 == 0 else ("change", "ref")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_benchmark(*sides[side], args.workload, seed, seconds)
+                pair[side] = run_benchmark(*sides[side], args.workload, seed, seconds, first)
             print(f"pair {k + 1}/{args.pairs} seed {seed}: failed ref {pair['ref']['failed']}, "
                   f"change {pair['change']['failed']}", flush=True)
             pairs.append(pair)

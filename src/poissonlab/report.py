@@ -50,12 +50,15 @@ def _machine_line(manifest: dict) -> str:
 def build_report(run_dir) -> str:
     """Question-by-question summary of one run; pure function of the files.
 
-    Raises InputError when a run file lacks a key the report reads.
+    Raises InputError when a run file lacks a key the report reads or
+    holds a value of the wrong kind there.
     """
     try:
         return _report(Path(run_dir))
     except KeyError as exc:
         raise InputError(f"a run file in {run_dir} has no key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"a run file in {run_dir} holds a value of the wrong kind: {exc}") from None
 
 
 def _report(run_dir: Path) -> str:

@@ -4,9 +4,9 @@ values, and measure how the surrogate holds up in and out of range.
 `run` chains every stage of one `poissonlab surrogate` run and returns
 the results as a `SurrogateRun`, without writing a file.
 
-Data generation derives one child seed per sample from the master seed,
-so each random draw depends only on the master seed and the sample's
-index.
+Data generation draws every sample from one PCG64 stream per branch of
+the master seed's tree; sample i is the stream's i-th triple, so each
+random draw depends only on the master seed and the sample's index.
 Model inputs are standardized to zero mean and unit range on the train
 split; the offsets live inside the trained artifact so predictions stay
 well defined.
@@ -32,8 +32,8 @@ if TYPE_CHECKING:  # config imports this module
 SAMPLINGS = ("uniform_random", "grid")
 SPLIT_TAGS = ("train", "val", "test")
 
-# Seed-tree branch labels: generation draws under (0, i), evaluation
-# draws under (1, multiplier_index, i).
+# Seed-tree branch labels: generation draws from the stream at (0,),
+# evaluation draws from the stream at (1, multiplier_index).
 _BRANCH_GENERATE = 0
 _BRANCH_EVAL = 1
 
@@ -114,12 +114,14 @@ class SurrogateDataset:
 
 
 def _seeded_draws(ranges, count: int, seed: int, *branch: int) -> np.ndarray:
-    """(count, 3) uniform draws; row i has its own place (seed, *branch, i) in the seed tree."""
-    draws = np.empty((count, len(ranges)))
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(*branch, i)))
-        draws[i] = [rng.uniform(lo, hi) for lo, hi in ranges]
-    return draws
+    """(count, 3) uniform draws from the PCG64 stream at (seed, *branch) in the seed tree.
+
+    Row i is the stream's i-th triple, so it depends only on (seed, branch, i)
+    and the first k rows are the same for every count >= k.
+    """
+    lo, hi = np.array(ranges, dtype=float).T
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=branch))
+    return rng.uniform(lo, hi, (count, len(ranges)))
 
 
 def sample_inputs(space: ParameterSpace) -> np.ndarray:

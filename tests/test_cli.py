@@ -205,18 +205,25 @@ PROBLEM_JSON = b'{"problem": {"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0
          "has no key 'learning_rate'"),
         (["report", "--run", "{tmp}"], {"manifest.json": b"{}", "cost_ledger.json": b'{"t_dg": 1}'}, 4,
          "has no key 'break_even'"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b'{"config": {"train": []}, "machine": {}, "files": []}'},
+         4, "a run file in {tmp} holds a value of the wrong kind"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b"{}", "cost_ledger.json": b'{"t_dg": "x"}'}, 4,
+         "a run file in {tmp} holds a value of the wrong kind"),
+        (["report", "--run", "{tmp}"], {"manifest.json": b'{"config": {"space": []}}', "cost_ledger.json": b"{}"},
+         4, "a run file in {tmp} holds a value of the wrong kind"),
     ],
     ids=["config-is-a-directory", "config-not-utf8", "out-is-a-file", "manifest-invalid-json",
          "manifest-not-an-object", "artifact-invalid-json", "artifact-not-an-object",
          "manifest-config-not-an-object", "manifest-machine-not-an-object",
-         "manifest-train-lacks-a-key", "ledger-lacks-a-key"],
+         "manifest-train-lacks-a-key", "ledger-lacks-a-key", "manifest-train-not-an-object",
+         "ledger-time-not-a-number", "manifest-space-not-an-object"],
 )
 def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, code, message):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
-    assert message in err
+    assert message.format(tmp=tmp_path) in err
     assert err.startswith("config error" if code == 2 else "missing input")
 
 

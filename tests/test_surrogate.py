@@ -134,6 +134,42 @@ def test_generate_outputs_carry_boundary_values():
     npt.assert_array_equal(ds.outputs[:, -1], ds.inputs[:, 2])
 
 
+BOX = ((-2.0, 2.0), (-1.0, 1.0), (0.5, 3.0))
+
+
+def box_space(n_samples, master_seed=11):
+    return ParameterSpace(
+        g_range=BOX[0],
+        y0_range=BOX[1],
+        y1_range=BOX[2],
+        x0=0.0,
+        x1=1.0,
+        sampling="uniform_random",
+        n_samples=n_samples,
+        master_seed=master_seed,
+    )
+
+
+def test_sample_inputs_depend_only_on_seed_and_index():
+    # A run with more samples extends a run with fewer, bit for bit.
+    few = sample_inputs(box_space(5))
+    many = sample_inputs(box_space(50))
+    npt.assert_array_equal(few, many[:5])
+    lo, hi = np.array(BOX).T
+    assert np.all((lo <= many) & (many <= hi))
+    assert not np.array_equal(few, sample_inputs(box_space(5, master_seed=12)))
+
+
+def test_seed_tree_branches_draw_their_own_streams():
+    def draws(count, *branch):
+        return surrogate._seeded_draws(BOX, count, 11, *branch)
+
+    evaluation = draws(40, surrogate._BRANCH_EVAL, 0)
+    npt.assert_array_equal(draws(4, surrogate._BRANCH_EVAL, 0), evaluation[:4])
+    assert not np.array_equal(evaluation, draws(40, surrogate._BRANCH_EVAL, 1))
+    assert not np.array_equal(evaluation, draws(40, surrogate._BRANCH_GENERATE))
+
+
 # -- splitting ---------------------------------------------------------
 
 
