@@ -21,7 +21,9 @@ metric each side's median and quartiles, the number of pairs the working
 tree won (ties count for neither), whether that is a gain by the
 benchmark's rule (at least 9 wins in 10, medians apart by more than the
 ref's interquartile range) and whether the working tree's median stays
-within the metric's bound.
+within the metric's bound. Each side's `attempted` and `failed` counts
+are summed over the pairs; a larger failure share in the working tree
+than in the ref is flagged, since the benchmark rejects such a change.
 """
 
 from __future__ import annotations
@@ -118,6 +120,16 @@ def compare(name: str, pairs: list, spec: dict) -> dict:
     }
 
 
+def failure_shares(pairs: list) -> dict:
+    """Per side, the operations attempted and failed over all pairs, and their ratio."""
+    out = {}
+    for side in ("ref", "change"):
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        failed = sum(p[side]["failed"] for p in pairs)
+        out[side] = {"attempted": attempted, "failed": failed, "share": failed / attempted if attempted else 0.0}
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--ref", required=True, help="git ref to compare the working tree against")
@@ -160,6 +172,7 @@ def main() -> int:
     for name in sorted(pairs[0]["ref"]["metrics"]):
         # Under --workload all the names carry a "<workload>." prefix.
         metrics[name] = compare(name, pairs, specs[name.rsplit(".", 1)[-1]])
+    failures = failure_shares(pairs)
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     doc = {
         "label": args.label,
@@ -168,6 +181,7 @@ def main() -> int:
         "ref": {"name": args.ref, "commit": sha},
         "change": {"commit": git("rev-parse", "HEAD").decode().strip(), "uncommitted_changes": dirty},
         "environment": environment,
+        "failures": failures,
         "metrics": metrics,
         "pairs": pairs,
     }
@@ -178,6 +192,9 @@ def main() -> int:
               f"change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]  "
               f"{m['median_change_frac']:+.1%}  wins {m['change_wins']}/{m['pairs']}"
               f"{'  gain' if m['gain'] else ''}{'' if m['within_bound'] else '  OUT OF BOUND'}")
+    ref_f, change_f = failures["ref"], failures["change"]
+    print(f"failed: ref {ref_f['failed']}/{ref_f['attempted']}, change {change_f['failed']}/{change_f['attempted']}"
+          f"{'  CHANGE FAILS MORE' if change_f['share'] > ref_f['share'] else ''}")
     print(f"wrote {out.relative_to(ROOT)}")
     return 0
 

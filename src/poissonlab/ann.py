@@ -175,19 +175,34 @@ class TrainReport:
     wall_time: float
 
 
-def _as_batch(arr, width: int, name: str) -> np.ndarray:
+def _as_rows(arr, width: int, name: str) -> np.ndarray:
+    """arr as float rows of the given width: (n, width), or one (width,) row.
+
+    A 1-D array is one row, except for a width-1 model, which reads it as
+    a column of n rows.
+    """
     a = np.asarray(arr, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None] if width == 1 else a[None, :]
-    if a.ndim != 2 or a.shape[1] != width:
+    if a.ndim == 1 and width == 1:
+        a = a[:, None]
+    if a.ndim not in (1, 2) or a.shape[-1] != width:
         raise ShapeError(f"{name} must have width {width}, got shape {np.shape(arr)}")
     return a
 
 
+def _as_batch(arr, width: int, name: str) -> np.ndarray:
+    a = _as_rows(arr, width, name)
+    return a if a.ndim == 2 else a[None, :]
+
+
 def predict_batch(model: MlpModel, inputs) -> np.ndarray:
-    """Forward pass over rows of inputs; returns (n_samples, n_out)."""
-    a0 = _as_batch(inputs, model.layer_sizes[0], "inputs")
-    return _forward_trace(model, a0)[-1]
+    """Forward pass over rows of inputs; returns (n_samples, n_out).
+
+    One 1-D row goes through the layers as a vector and comes back as
+    (1, n_out).
+    """
+    a0 = _as_rows(inputs, model.layer_sizes[0], "inputs")
+    out = _forward_trace(model, a0)[-1]
+    return out if out.ndim == 2 else out[None, :]
 
 
 # A forward pass without buffers: None for every layer, however many.

@@ -148,6 +148,10 @@ def generate_dataset(space: ParameterSpace, n_nodes: int) -> SurrogateDataset:
     The solver validates every sample as PoissonProblem would; a bad one
     aborts with a ParameterError naming the first offending sample index.
     """
+    # numpy imports numpy.random on first use. Import it before the clock
+    # starts, so that a fresh process's generation time holds no import.
+    import numpy.random  # noqa: F401
+
     started = time.perf_counter()
     inputs = sample_inputs(space)
     outputs = fdm_values(*inputs.T, space.x0, space.x1, n_nodes)
@@ -206,13 +210,17 @@ class SurrogateModel:
         if self.mlp.layer_sizes[-1] != self.grid.shape[0]:
             raise ShapeError("model output size must match the grid length")
 
-    def standardize(self, raw_inputs) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(raw_inputs, dtype=float))
-        return (x - self.input_center) / self.input_scale
-
     def predict(self, raw_inputs) -> np.ndarray:
-        """(n, grid_size) nodal predictions for raw (g, y0, y1) rows."""
-        return ann.predict_batch(self.mlp, self.standardize(raw_inputs))
+        """(n, grid_size) nodal predictions for raw (g, y0, y1) rows.
+
+        A single (g, y0, y1) row may be 1-D; it gives (1, grid_size).
+        """
+        x = np.asarray(raw_inputs, dtype=float)
+        # Checked before standardizing, which would broadcast a scalar or a
+        # width-1 input against the (3,) offsets into plausible rows.
+        if x.ndim not in (1, 2) or x.shape[-1] != self.mlp.layer_sizes[0]:
+            raise ShapeError(f"inputs must be (g, y0, y1) rows of shape (3,) or (n, 3), got {x.shape}")
+        return ann.predict_batch(self.mlp, (x - self.input_center) / self.input_scale)
 
     def to_dict(self) -> dict:
         return {

@@ -436,5 +436,9 @@ def test_predict_batch_shapes():
     model = init_mlp((3, 5, 2), seed=0)
     out = predict_batch(model, np.zeros((7, 3)))
     assert out.shape == (7, 2)
-    with pytest.raises(ShapeError):
-        predict_batch(model, np.zeros((7, 4)))
+    # One 1-D row is one sample; for a width-1 model a 1-D array is a column.
+    npt.assert_array_equal(predict_batch(model, np.ones(3)), predict_batch(model, np.ones((1, 3))))
+    assert predict_batch(init_mlp((1, 4, 2), seed=0), np.zeros(5)).shape == (5, 2)
+    for bad in (np.zeros((7, 4)), np.zeros(4), np.zeros((2, 7, 3)), 0.0):
+        with pytest.raises(ShapeError):
+            predict_batch(model, bad)

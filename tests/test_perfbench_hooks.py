@@ -80,3 +80,30 @@ def test_query_hooks_see_the_solver_inside_one_solve():
     calls = {name: row["calls"] for name, row in recorder.summarize().items()}
     assert calls.get("pde.solve_fdm") == 1
     assert calls.get("linalg.solve_tridiagonal") == 1
+
+
+def test_query_hooks_see_the_forward_pass_inside_one_prediction():
+    # The query workload times SurrogateModel.predict on one row and, below
+    # it, the forward pass through ann's predict_batch; a single-row path
+    # around that name would read as a zero ann time under --trace 1.
+    import numpy as np
+
+    from poissonlab import ann
+    from poissonlab.surrogate import SurrogateModel
+
+    model = SurrogateModel(
+        mlp=ann.init_mlp((3, 8, 101), seed=0),
+        input_center=np.zeros(3),
+        input_scale=np.ones(3),
+        grid=np.linspace(0.0, 1.0, 101),
+    )
+    recorder = tracer.Tracer()
+    try:
+        tracer.install(recorder, tracer.QUERY_HOOKS)
+        assert model.predict(np.array([1.5, 0.25, -0.5])).shape == (1, 101)
+    finally:
+        recorder.restore()
+    calls = {name: row["calls"] for name, row in recorder.summarize().items()}
+    assert calls.get("surrogate.SurrogateModel.predict") == 1
+    assert calls.get("ann.predict_batch") == 1
+    assert recorder.calls_under("ann.predict_batch", "surrogate.SurrogateModel.predict") == 1

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from poissonlab import surrogate
-from poissonlab.ann import MlpModel, TrainConfig
+from poissonlab.ann import MlpModel, TrainConfig, init_mlp
 from poissonlab.errors import ParameterError, ShapeError
 from poissonlab.pde import PoissonProblem, solve_analytic, solve_fdm
 from poissonlab.surrogate import (
@@ -132,6 +136,30 @@ def test_generate_outputs_carry_boundary_values():
     ds = generate_dataset(space, 17)
     npt.assert_array_equal(ds.outputs[:, 0], ds.inputs[:, 1])
     npt.assert_array_equal(ds.outputs[:, -1], ds.inputs[:, 2])
+
+
+def test_generation_time_holds_no_numpy_random_import():
+    # numpy imports numpy.random on first use. Importing the CLI must not
+    # load it (that would move it into set-up), and generate_dataset must
+    # load it before its clock starts, not inside the timed region.
+    script = """
+import sys, time, types
+import poissonlab.cli
+from poissonlab import surrogate
+assert "numpy.random" not in sys.modules, "importing the CLI loaded numpy.random"
+loaded_at_clock = []
+def clock():
+    loaded_at_clock.append("numpy.random" in sys.modules)
+    return time.perf_counter()
+surrogate.time = types.SimpleNamespace(perf_counter=clock)
+space = surrogate.ParameterSpace((0.0, 1.0), (0.0, 0.0), (0.0, 0.0), 0.0, 1.0, "uniform_random", 4, 0)
+surrogate.generate_dataset(space, 11)
+assert loaded_at_clock == [True, True], loaded_at_clock
+"""
+    src = Path(surrogate.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 BOX = ((-2.0, 2.0), (-1.0, 1.0), (0.5, 3.0))
@@ -279,6 +307,49 @@ def test_model_json_round_trip():
     model, _ = train_surrogate(ds, (3, 11), quick_train_config(max_epochs=50))
     clone = SurrogateModel.from_dict(model.to_dict())
     npt.assert_array_equal(clone.predict(ds.inputs), model.predict(ds.inputs))
+
+
+def untrained_model(layer_sizes, transfers=None):
+    lo, hi = np.array(BOX).T
+    return SurrogateModel(
+        mlp=init_mlp(layer_sizes, transfers=transfers, seed=4),
+        input_center=(lo + hi) / 2.0,
+        input_scale=hi - lo,
+        grid=np.linspace(0.0, 1.0, layer_sizes[-1]),
+    )
+
+
+@pytest.mark.parametrize(
+    "layer_sizes, transfers",
+    [((3, 101), ("purelin",)), ((3, 8, 101), ("tanh", "purelin")), ((3, 16, 16, 101), None)],
+    ids=["purelin", "tanh-8", "16-16"],
+)
+def test_single_row_predict_is_the_one_row_matrix_predict(layer_sizes, transfers):
+    # A 1-D row goes through the layers as a vector. numpy multiplies it
+    # with the same BLAS call as a (1, 3) matrix, so the bits are equal.
+    # A many-row block goes through a matrix-matrix product that sums in
+    # another order, so its rows agree to rounding only.
+    model = untrained_model(layer_sizes, transfers)
+    block = sample_inputs(box_space(1000, master_seed=21))
+    batch = model.predict(block)
+    single = np.vstack([model.predict(row) for row in block])
+    npt.assert_array_equal(single, np.vstack([model.predict(row[None, :]) for row in block]))
+    tol = 64 * np.finfo(float).eps * (1.0 + np.abs(batch).max())
+    npt.assert_allclose(single, batch, rtol=0.0, atol=tol)
+    for row in (block[0], list(block[0]), block[:1]):
+        assert model.predict(row).shape == (1, layer_sizes[-1])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [2.0, [2.0], [1.0, 2.0, 3.0, 4.0], [[1.0]], np.ones((5, 1)), np.ones((5, 4)), np.ones((2, 2, 3))],
+    ids=["scalar", "one-value", "four-values", "1x1", "5x1", "5x4", "3-d"],
+)
+def test_predict_rejects_inputs_that_are_not_rows_of_three(raw):
+    # Standardization would broadcast a scalar or a width-1 input into
+    # rows of (g, g, g); the width is checked before it.
+    with pytest.raises(ShapeError, match="got"):
+        untrained_model((3, 11)).predict(raw)
 
 
 # -- evaluation --------------------------------------------------------
