@@ -207,6 +207,8 @@ class SurrogateModel:
         self.grid = np.asarray(self.grid, dtype=float)
         if self.input_center.shape != (3,) or self.input_scale.shape != (3,):
             raise ShapeError("standardization parameters must have shape (3,)")
+        if self.mlp.layer_sizes[0] != 3:
+            raise ShapeError(f"model input size must be 3, got {self.mlp.layer_sizes[0]}")
         if self.mlp.layer_sizes[-1] != self.grid.shape[0]:
             raise ShapeError("model output size must match the grid length")
 

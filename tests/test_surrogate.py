@@ -352,6 +352,13 @@ def test_predict_rejects_inputs_that_are_not_rows_of_three(raw):
         untrained_model((3, 11)).predict(raw)
 
 
+def test_model_input_size_must_be_three():
+    # A width-1 network would read one standardized (3,) row as a column
+    # of three samples and answer with three predictions.
+    with pytest.raises(ShapeError, match="input size must be 3"):
+        untrained_model((1, 11))
+
+
 # -- evaluation --------------------------------------------------------
 
 
