@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from poissonlab import cli  # noqa: E402
+from poissonlab.fileio import sha256_file  # noqa: E402
 
 # A config's command follows from the first of these sections it holds.
 COMMAND_BY_SECTION = (
@@ -58,7 +59,7 @@ def digest_run(config_path: Path, out_dir: Path) -> dict:
         raise RuntimeError(f"{config_path} exited {code}")
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     files = {
-        entry["name"]: hashlib.sha256((out_dir / entry["name"]).read_bytes()).hexdigest()
+        entry["name"]: sha256_file(out_dir / entry["name"])
         for entry in manifest["files"]
         if entry["deterministic"]
     }

@@ -38,6 +38,7 @@ class CostLedger:
     pr_samples: tuple = ()
     solve_samples: tuple = ()
     cold_prediction: float | None = None
+    cold_solve: float | None = None
 
     def __post_init__(self):
         for name in ("t_dg", "t_nt", "t_pr", "t_solve"):
@@ -101,14 +102,17 @@ def summary(ledger: CostLedger, diverged: bool = False, rmse_test: float | None 
     the ledger's N. The verdict is "invalid" when the surrogate is
     unusable (its training diverged or its test RMSE is not finite),
     "never" when no N pays off, and otherwise N. Every artifact and
-    message that states a break-even N takes it from here.
+    message that states a break-even N takes it from here. A ledger that
+    timed no solve, such as a what-if ledger from a config, has no
+    `cold_solve` key, so its artifact holds only the fields it states.
     """
     if diverged or (rmse_test is not None and not math.isfinite(rmse_test)):
         verdict = "invalid"
     else:
         n_star = break_even(ledger)
         verdict = "never" if n_star is None else n_star
-    return {**vars(ledger), "break_even": verdict, "total_time": total_time(ledger)}
+    fields = {k: v for k, v in vars(ledger).items() if k != "cold_solve" or v is not None}
+    return {**fields, "break_even": verdict, "total_time": total_time(ledger)}
 
 
 def measure(
@@ -122,9 +126,12 @@ def measure(
     """Build a ledger from pipeline timings plus fresh per-call measurements.
 
     predict_once and solve_once are zero-argument callables run
-    single-threaded, back to back, on this machine. One untimed-in-the-
-    median cold call warms the prediction path first and is recorded
-    separately; t_pr and t_solve are medians over `repetitions` calls.
+    single-threaded, back to back, on this machine. Before each path's
+    timed calls, one cold call warms it; it is left out of the median and
+    recorded as cold_prediction or cold_solve. t_pr and t_solve are
+    medians over `repetitions` calls each. A fresh process's first few
+    solves fall from about 150 to 50 µs, so without the warm-up a median
+    of five would sit on that slope.
     """
     if repetitions < 1:
         raise ParameterError("repetitions must be >= 1")
@@ -134,8 +141,9 @@ def measure(
         fn()
         return time.perf_counter() - started
 
-    cold = clock(predict_once)
+    cold_prediction = clock(predict_once)
     pr_samples = tuple(clock(predict_once) for _ in range(repetitions))
+    cold_solve = clock(solve_once)
     solve_samples = tuple(clock(solve_once) for _ in range(repetitions))
     return CostLedger(
         t_dg=float(t_dg),
@@ -146,5 +154,6 @@ def measure(
         repetitions=int(repetitions),
         pr_samples=pr_samples,
         solve_samples=solve_samples,
-        cold_prediction=cold,
+        cold_prediction=cold_prediction,
+        cold_solve=cold_solve,
     )

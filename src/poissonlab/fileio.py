@@ -2,6 +2,10 @@
 mandatory header, strict JSON (RFC 8259) with sorted keys and shortest
 round-trip floats.
 
+Memory for a CSV or a digest does not grow with the file: write_csv
+formats and writes its rows in blocks of CSV_BLOCK_ROWS, and sha256_file
+reads the file in chunks of HASH_CHUNK_BYTES.
+
 JSON has no token for inf or NaN, so write_json writes each such value
 as null and lists where it was under a top-level "non_finite" key, for
 example ["loss_history[41]", "rmse_train"]; read_json puts NaN back there.
@@ -14,9 +18,17 @@ import json
 import math
 import re
 from dataclasses import fields, is_dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
+
+# Rows formatted and written per write() call. A block's text is held
+# whole, so this bounds write_csv's memory; 64 rows of 101 floats is
+# about 120 kB.
+CSV_BLOCK_ROWS = 64
+# Bytes read per read() call while hashing.
+HASH_CHUNK_BYTES = 1 << 16
 
 
 def jsonable(obj, non_finite: list, path: str = ""):
@@ -56,16 +68,19 @@ def format_cell(value) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Header line, then one line per row. A 2-D float ndarray is formatted
-    a row at a time through Python floats, which gives the text
-    format_cell gives each cell without a call per cell."""
+    """Header line, then one line per row, written CSV_BLOCK_ROWS rows at a
+    time. A 2-D float ndarray is formatted a row at a time through Python
+    floats, which gives the text format_cell gives each cell without a
+    call per cell. rows may be any iterable; it is read once."""
     path = Path(path)
-    lines = [",".join(header)]
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        lines.extend(",".join(map(repr, row.tolist())) for row in rows)
+        lines = (",".join(map(repr, row.tolist())) for row in rows)
     else:
-        lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = (",".join(format_cell(cell) for cell in row) for row in rows)
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write(",".join(header) + "\n")
+        while block := list(islice(lines, CSV_BLOCK_ROWS)):
+            out.write("\n".join(block) + "\n")
     return path
 
 
@@ -97,6 +112,9 @@ def read_json(path):
 
 
 def sha256_file(path) -> str:
+    """Hex SHA-256 of the file's bytes, read HASH_CHUNK_BYTES at a time."""
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    with Path(path).open("rb") as f:
+        while chunk := f.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
     return digest.hexdigest()

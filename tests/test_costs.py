@@ -164,6 +164,23 @@ def test_measure_records_all_samples():
     assert l.repetitions == 4
 
 
+def test_measure_warms_the_solve_before_timing_it():
+    calls = []
+
+    def solve_slow_first():
+        calls.append(None)
+        if len(calls) == 1:
+            time.sleep(0.05)
+
+    l = measure(0.0, 0.0, lambda: None, solve_slow_first, n_predictions=1, repetitions=3)
+    assert len(calls) == 4
+    assert len(l.solve_samples) == 3
+    assert l.cold_solve >= 0.05
+    assert l.t_solve < 0.05 / 2
+    assert summary(l)["cold_solve"] == l.cold_solve
+    assert "cold_solve" not in summary(ledger(t_dg=1.0, t_nt=1.0, t_pr=0.1, t_solve=1.0))
+
+
 def test_measure_rejects_zero_repetitions():
     with pytest.raises(ParameterError):
         measure(0.0, 0.0, lambda: None, lambda: None, n_predictions=1, repetitions=0)

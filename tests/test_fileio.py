@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 
-from poissonlab.fileio import read_json, write_csv, write_json
+from poissonlab.fileio import CSV_BLOCK_ROWS, format_cell, read_json, sha256_file, write_csv, write_json
 
 
 def strict_loads(text):
@@ -40,3 +42,51 @@ def test_write_csv_float_array_matches_cell_by_cell_text(tmp_path):
         slow = write_csv(tmp_path / "slow.csv", ("a", "b", "c"), [list(row) for row in array])
         assert fast.read_bytes() == slow.read_bytes()
     assert write_csv(tmp_path / "fast.csv", ("a", "b", "c"), rows).read_text().splitlines()[2] == "1e-300,inf,nan"
+
+
+def joined_csv(header, rows) -> bytes:
+    """The whole file as one joined string: the reference for write_csv."""
+    lines = [",".join(header)] + [",".join(format_cell(cell) for cell in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_write_csv_matches_a_joined_reference_across_blocks(tmp_path):
+    rng = np.random.default_rng(0)
+    for n in (0, 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 3):
+        array = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300, (n, 4))
+        header = ("a", "b", "c", "d")
+        path = write_csv(tmp_path / "array.csv", header, array)
+        assert path.read_bytes() == joined_csv(header, array.tolist())
+        generic = [(i, np.int64(-i), float(i) / 7.0, np.float32(0.1), f"tag{i}") for i in range(n)]
+        header = ("i", "j", "x", "y", "tag")
+        path = write_csv(tmp_path / "generic.csv", header, iter(generic))
+        assert path.read_bytes() == joined_csv(header, generic)
+    assert write_csv(tmp_path / "empty.csv", ("a", "b"), np.empty((0, 2))).read_bytes() == b"a,b\n"
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_memory_does_not_grow_with_the_file(tmp_path):
+    # 2000 rows of 101 floats make a 3.8 MB file; a writer that joins every
+    # line before writing peaks near 11.5 MB here.
+    array = np.random.default_rng(1).standard_normal((2000, 101))
+    header = tuple(f"y_{j}" for j in range(101))
+    peak = traced_peak(lambda: write_csv(tmp_path / "outputs.csv", header, array))
+    assert (tmp_path / "outputs.csv").stat().st_size > 3_000_000
+    assert peak < 2_000_000
+
+
+def test_sha256_file_reads_in_chunks(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(np.random.default_rng(2).bytes(16 << 20))
+    digests = []
+    peak = traced_peak(lambda: digests.append(sha256_file(path)))
+    assert peak < 4_000_000
+    assert digests == [hashlib.sha256(path.read_bytes()).hexdigest()]

@@ -62,7 +62,8 @@ def test_every_pipeline_hook_records_calls_in_a_surrogate_run(tmp_path, capsys):
     # already read 0 (ROADMAP item 1).
     silent = {name for _, _, name in tracer.PIPELINE_HOOKS if not calls.get(name)}
     assert silent <= {"ann.loss_sse", "ann.gradients"}
-    assert calls["pde.solve_fdm"] == doc["costs"]["repetitions"]
+    # The ledger's solves: one untimed warm-up, then the timed repetitions.
+    assert calls["pde.solve_fdm"] == doc["costs"]["repetitions"] + 1
 
 
 def test_query_hooks_see_the_solver_inside_one_solve():
