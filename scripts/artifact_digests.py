@@ -4,7 +4,14 @@ Runs every `configs/*.json` plus `perfbench/wide_datagen.json` through
 `poissonlab` into a temporary directory and prints one JSON object that
 maps each config to the SHA-256 of every file its manifest flags
 deterministic, plus a SHA-256 of the training loss history when the run
-trains a network (`train_report.json` itself holds wall times).
+trains a network (`train_report.json` itself holds wall times) and of
+the architecture sweep's rows without their wall times.
+
+It also runs `configs/surrogate_tanh.json` with `train.learning_rate`
+1.0, written as a temporary config and listed under its own key. That
+run diverges in the main training and in every sweep layout, so its
+digests cover losses and gradients near overflow, not only a
+converging run.
 
 Two commits give bit-identical deterministic artifacts when their
 outputs are equal:
@@ -51,6 +58,10 @@ def command_for(config: dict) -> str:
     raise ValueError(f"no command for a config with sections {sorted(config)}")
 
 
+# A config and a learning rate at which its training diverges.
+DIVERGING = ("configs/surrogate_tanh.json", 1.0)
+
+
 def digest_run(config_path: Path, out_dir: Path) -> dict:
     command = command_for(json.loads(config_path.read_text(encoding="utf-8")))
     with contextlib.redirect_stdout(io.StringIO()):
@@ -67,8 +78,16 @@ def digest_run(config_path: Path, out_dir: Path) -> dict:
     train_report = out_dir / "train_report.json"
     if train_report.exists():
         history = json.loads(train_report.read_text(encoding="utf-8"))["loss_history"]
-        run["loss_history"] = hashlib.sha256(json.dumps(history).encode()).hexdigest()
+        run["loss_history"] = sha256_json(history)
+    sweep = out_dir / "arch_sweep.json"
+    if sweep.exists():
+        rows = json.loads(sweep.read_text(encoding="utf-8"))["rows"]
+        run["arch_sweep"] = sha256_json([{k: v for k, v in row.items() if k != "wall_time"} for row in rows])
     return run
+
+
+def sha256_json(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
 def main() -> int:
@@ -77,6 +96,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for i, path in enumerate(configs):
             digests[str(path.relative_to(ROOT))] = digest_run(path, Path(tmp) / str(i))
+        base, rate = DIVERGING
+        config = json.loads((ROOT / base).read_text(encoding="utf-8"))
+        config["train"]["learning_rate"] = rate
+        path = Path(tmp) / "diverging.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        digests[f"{base} train.learning_rate={rate}"] = digest_run(path, Path(tmp) / "diverging")
     json.dump(digests, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0

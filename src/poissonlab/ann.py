@@ -278,11 +278,20 @@ class _Epoch:
     `model` is a copy of the given model whose weights and biases are
     views into one flat vector `theta`; `grads` are views of the same
     layout into `grad`, so a descent step is two whole-vector calls.
-    Each layer's output, the residual, its square and each hidden
-    layer's delta get one buffer, allocated here and reused by every
-    epoch. The backward pass overwrites each layer output with f' once
-    nothing else reads it, so the buffers hold no activations after
-    `loss_and_gradients`.
+    Each layer's output and each hidden layer's delta get one buffer,
+    allocated here and reused by every epoch. The residual e = y - a_L
+    overwrites a purelin output, which nothing reads afterwards; a tanh
+    output layer keeps a residual buffer of its own, because its f' is
+    taken in place in the output's buffer and e * f' is written there.
+    The backward pass overwrites each tanh layer's output with f' and
+    then with that layer's delta once nothing else reads it, so the
+    buffers hold no activations after `loss_and_gradients`.
+
+    The backward pass propagates e, not -2e, and one `grad *= -2.0`
+    scales the gradient vector afterwards. A power of two scales every
+    product and sum exactly (short of overflow and subnormals), so the
+    gradients keep the bits of propagating -2e. The loss is computed
+    last, by squaring e in place.
     """
 
     def __init__(self, model: MlpModel, x: np.ndarray, y: np.ndarray):
@@ -305,29 +314,27 @@ class _Epoch:
         self.x, self.y = x, y
         self.outputs = [np.empty((rows, size)) for size in sizes[1:]]
         self.deltas = [np.empty((rows, size)) for size in sizes[1:-1]]
-        self.residual = np.empty((rows, sizes[-1]))
-        # The square reuses the output's buffer unless the backward pass
-        # still reads the output there (f' of a tanh output layer).
         reads_output = self.model._transfer_fns[-1].derivative is not None
-        self.square = np.empty((rows, sizes[-1])) if reads_output else self.outputs[-1]
+        self.residual = np.empty((rows, sizes[-1])) if reads_output else self.outputs[-1]
 
     def loss_and_gradients(self) -> float:
         """The loss at `theta`; leaves dL/dtheta in `grad`."""
         model = self.model
         activations = _forward_trace(model, self.x, self.outputs)
         e = np.subtract(self.y, activations[-1], out=self.residual)
-        loss = float(np.multiply(e, e, out=self.square).sum())
-        delta = np.multiply(e, -2.0, out=e)
+        delta = e
         for k in reversed(range(model.n_layers)):
             derivative = model._transfer_fns[k].derivative
             if derivative is not None:
-                delta *= derivative(activations[k + 1])
+                f = derivative(activations[k + 1])
+                delta = np.multiply(delta, f, out=f)
             dw, db = self.grads[k]
             np.matmul(delta.T, activations[k], out=dw)
-            delta.sum(axis=0, out=db)
+            np.add.reduce(delta, 0, None, db)
             if k > 0:
                 delta = np.matmul(delta, model.weights[k], out=self.deltas[k - 1])
-        return loss
+        self.grad *= -2.0
+        return float(np.add.reduce(np.multiply(e, e, out=e), None))
 
 
 def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):

@@ -24,10 +24,17 @@ TOOL_NAME = "poissonlab"
 
 
 def machine_descriptor() -> dict:
+    """Where a run ran, read without starting a child process.
+
+    `platform.processor()`, and `platform.platform()`, which reads it,
+    run `uname -p` on Linux for a field that comes back '' there and
+    repeats `machine` on macOS; the platform string is therefore built
+    from `platform.uname()`'s system, release and machine.
+    """
+    uname = platform.uname()
     return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "processor": platform.processor(),
+        "platform": f"{uname.system}-{uname.release}-{uname.machine}",
+        "machine": uname.machine,
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
         "numpy": np.__version__,

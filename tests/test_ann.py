@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -259,33 +260,49 @@ def test_train_deterministic_replay():
         npt.assert_array_equal(w1, w2)
 
 
+def reference_derivative(tag, n):
+    """f' from the pre-activation sums n; purelin's is an array of ones."""
+    if tag == "tanh":
+        t = np.tanh(n)
+        return 1.0 - t * t
+    return np.ones_like(n)
+
+
+def reference_forward(transfers, weights, biases, x):
+    """(activations [x, ..., aL], pre-activation sums) in plain numpy."""
+    activations, sums = [x], []
+    for w, b, tag in zip(weights, biases, transfers):
+        z = activations[-1] @ w.T + b
+        sums.append(z)
+        activations.append(np.tanh(z) if tag == "tanh" else z)
+    return activations, sums
+
+
+def reference_gradients(transfers, weights, biases, x, y):
+    """Per-layer (dL/dW, dL/db) by the textbook recursion: a forward pass
+    of its own, -2e*f' at the output, chained back through W and f'."""
+    activations, sums = reference_forward(transfers, weights, biases, x)
+    e = y - activations[-1]
+    delta = -2.0 * e * reference_derivative(transfers[-1], sums[-1])
+    grads = [None] * len(weights)
+    for k in reversed(range(len(weights))):
+        grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
+        if k > 0:
+            delta = (delta @ weights[k]) * reference_derivative(transfers[k - 1], sums[k - 1])
+    return grads
+
+
 def two_pass_reference_descent(model, x, y, cfg):
     """Steepest descent in plain numpy with the textbook formulas: one
     forward pass for the loss and another for the gradients, f' evaluated
     from the pre-activation sums, and purelin's f' as an array of ones.
     Returns (weights, biases, loss_history, stop_reason)."""
-
-    def derivative(tag, n):
-        if tag == "tanh":
-            t = np.tanh(n)
-            return 1.0 - t * t
-        return np.ones_like(n)
-
-    def forward(weights, biases):
-        activations, sums = [x], []
-        for w, b, tag in zip(weights, biases, model.transfers):
-            z = activations[-1] @ w.T + b
-            sums.append(z)
-            activations.append(np.tanh(z) if tag == "tanh" else z)
-        return activations, sums
-
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
-    n_layers = len(weights)
     history, prev, stop_reason = [], math.inf, "max_epochs"
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_epochs):
-            e = y - forward(weights, biases)[0][-1]
+            e = y - reference_forward(model.transfers, weights, biases, x)[0][-1]
             loss = float(np.sum(e * e))
             history.append(loss)
             if not math.isfinite(loss):
@@ -295,14 +312,7 @@ def two_pass_reference_descent(model, x, y, cfg):
                 stop_reason = "converged"
                 break
             prev = loss
-            activations, sums = forward(weights, biases)
-            e = y - activations[-1]
-            delta = -2.0 * e * derivative(model.transfers[-1], sums[-1])
-            grads = [None] * n_layers
-            for k in reversed(range(n_layers)):
-                grads[k] = (delta.T @ activations[k], delta.sum(axis=0))
-                if k > 0:
-                    delta = (delta @ weights[k]) * derivative(model.transfers[k - 1], sums[k - 1])
+            grads = reference_gradients(model.transfers, weights, biases, x, y)
             for k, (dw, db) in enumerate(grads):
                 weights[k] -= cfg.learning_rate * dw
                 biases[k] -= cfg.learning_rate * db
@@ -373,6 +383,59 @@ def test_train_matches_two_pass_reference_on_surrogate_tanh_sweep(hidden):
     )
     model = init_mlp(layer_sizes, transfers=transfers, seed=train["init_seed"])
     assert_trains_like_reference(model, x, y, cfg)
+
+
+def gradient_cases():
+    """(id, model, x, y): every surrogate_tanh sweep layout on a batch of its
+    train size, a tanh-output net, and train_ann_demo's [1, 1] model on its
+    noisy line."""
+    arch, train = SURROGATE_TANH["arch"], SURROGATE_TANH["train"]
+    x, y = profile_batch(52, seed=9)
+    for hidden in SURROGATE_TANH["arch_sweep"]:
+        layer_sizes = (3, *hidden, SURROGATE_TANH["n_nodes"])
+        transfers = (arch["hidden_transfer"],) * len(hidden) + (arch["output_transfer"],)
+        model = init_mlp(layer_sizes, transfers=transfers, seed=train["init_seed"])
+        yield "sweep-" + ("-".join(map(str, hidden)) or "none"), model, x, y
+    yield "tanh-output", init_mlp((3, 8, 101), transfers=("tanh", "tanh"), seed=0), x, y
+    ds = noisy_line_dataset()
+    yield "train-ann", siso(1.0, -1.0), ds.inputs[:, None], ds.targets[:, None]
+
+
+@pytest.mark.parametrize("case", list(gradient_cases()), ids=lambda case: case[0])
+def test_gradients_equal_the_textbook_minus_two_e_bit_for_bit(case):
+    # Training backpropagates e and scales the gradient vector by -2 once;
+    # the power of two makes that exact, so the bits are those of -2e*f'.
+    _, model, x, y = case
+    reference = reference_gradients(model.transfers, model.weights, model.biases, x, y)
+    for (dw, db), (ref_dw, ref_db) in zip(gradients(model, x, y), reference):
+        npt.assert_array_equal(dw, ref_dw)
+        npt.assert_array_equal(db, ref_db)
+
+
+def training_peak(model, x, y):
+    """tracemalloc's peak over 20 training epochs, x and y made beforehand."""
+    cfg = TrainConfig(learning_rate=1e-4, stop_tolerance=1e-300, max_epochs=20)
+    tracemalloc.start()
+    try:
+        train_steepest_descent(model, x, y, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_holds_one_buffer_for_a_purelin_output_and_its_residual():
+    # wide-datagen's shape: each (1600, 101) buffer is 1.29 MB. The output,
+    # overwritten by the residual, is the only one.
+    x, y = profile_batch(1600, seed=6)
+    assert training_peak(init_mlp((3, 101), seed=0), x, y) < 2_000_000
+
+
+def test_training_holds_no_square_buffer_for_a_tanh_output():
+    # A tanh output keeps its residual apart from its output, but no third
+    # (1600, 101) buffer for the square.
+    x, y = profile_batch(1600, seed=6)
+    model = init_mlp((3, 8, 101), transfers=("tanh", "tanh"), seed=0)
+    assert training_peak(model, x, y) < 3_500_000
 
 
 def test_train_does_not_mutate_input_model():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -394,6 +397,22 @@ def test_surrogate_manifest_records_seeds(surrogate_run):
         "eval_seed": 11,
     }
     assert manifest["config"] == SURROGATE_DOC
+
+
+def test_machine_descriptor_starts_no_child_process():
+    # A fresh interpreter, so nothing in `platform` is cached yet.
+    code = (
+        "import subprocess\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise RuntimeError(f'started a child process: {args}')\n"
+        "subprocess.Popen = refuse\n"
+        "from poissonlab.manifest import machine_descriptor\n"
+        "print(sorted(machine_descriptor()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "processor" not in proc.stdout
 
 
 def test_public_names_resolve_and_manifest_has_package_version(surrogate_run):
