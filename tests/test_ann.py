@@ -423,16 +423,16 @@ def training_peak(model, x, y):
         tracemalloc.stop()
 
 
-def test_training_holds_one_buffer_for_a_purelin_output_and_its_residual():
-    # wide-datagen's shape: each (1600, 101) buffer is 1.29 MB. The output,
-    # overwritten by the residual, is the only one.
+def test_training_memory_with_a_purelin_output():
+    # wide-datagen's shape. Each (1600, 101) buffer is 1.29 MB, and the
+    # residual overwrites the output's, so training holds one.
     x, y = profile_batch(1600, seed=6)
     assert training_peak(init_mlp((3, 101), seed=0), x, y) < 2_000_000
 
 
-def test_training_holds_no_square_buffer_for_a_tanh_output():
-    # A tanh output keeps its residual apart from its output, but no third
-    # (1600, 101) buffer for the square.
+def test_training_memory_with_a_tanh_output():
+    # A tanh output needs its residual apart from its output: two
+    # (1600, 101) buffers of 1.29 MB.
     x, y = profile_batch(1600, seed=6)
     model = init_mlp((3, 8, 101), transfers=("tanh", "tanh"), seed=0)
     assert training_peak(model, x, y) < 3_500_000
