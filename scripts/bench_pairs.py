@@ -15,6 +15,17 @@ whatever PYTHONDONTWRITEBYTECODE says), which one short warm-up run fills
 before the first pair. A `__pycache__` the working tree already has is
 then never read, so import time is compared like for like.
 
+Bytecode writing on makes `setup_s` lower than in a plain
+`perfbench/run.py` started from a shell that sets
+PYTHONDONTWRITEBYTECODE=1: there every set-up probe compiles all
+poissonlab modules from source. `setup_s` read about 0.083 s in
+BENCH_pr13_all.json against 0.096-0.108 s in plain runs; 15 alternated
+`tanh-train` probes each (2-core Linux, Python 3.11.7) read medians of 0.098 s with a warm bytecode
+cache and 0.108 s compiling. Compare `setup_s` across files only when
+both were made the same way. The invoking shell's value of
+PYTHONDONTWRITEBYTECODE (null when unset) is recorded in the output as
+`invoking_env`.
+
 Writes BENCH_<label>.json at the repository root: the machine
 descriptor, every pair's metrics on both sides, and for each end-to-end
 metric each side's median and quartiles, the number of pairs the working
@@ -181,6 +192,7 @@ def main() -> int:
         "ref": {"name": args.ref, "commit": sha},
         "change": {"commit": git("rev-parse", "HEAD").decode().strip(), "uncommitted_changes": dirty},
         "environment": environment,
+        "invoking_env": {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "failures": failures,
         "metrics": metrics,
         "pairs": pairs,

@@ -25,10 +25,11 @@ from .errors import ParameterError, ShapeError
 class TransferFunction:
     """Elementwise activation a = f(n) and its derivative f' written in terms of a.
 
-    `apply` may overwrite its argument n and returns a; `derivative` may
-    overwrite its argument a and returns f'. `derivative` is None when f'
-    is 1 everywhere (purelin): backpropagation then skips the multiply,
-    which changes nothing because x * 1.0 == x exactly.
+    `apply` writes a over its argument n and returns it; `derivative`
+    writes f' over its argument a and returns it. Training's epoch plan
+    relies on both working in place. `derivative` is None when f' is 1
+    everywhere (purelin): backpropagation then skips the multiply, which
+    changes nothing because x * 1.0 == x exactly.
     """
 
     tag: str
@@ -256,7 +257,9 @@ def _loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple:
     x and y must already have passed _as_pair; nothing is checked here.
     """
     epoch = _Epoch(model, x, y)
-    return epoch.loss_and_gradients(), epoch.grads
+    loss = epoch.run()
+    epoch.grad *= -2.0
+    return loss, epoch.grads
 
 
 def _flat_layers(flat: np.ndarray, layer_sizes: tuple) -> list:
@@ -273,25 +276,35 @@ def _flat_layers(flat: np.ndarray, layer_sizes: tuple) -> list:
 
 
 class _Epoch:
-    """One full-batch epoch on fixed (x, y), with every array allocated up front.
+    """One full-batch epoch on fixed (x, y), built once as a fixed plan of calls.
 
     `model` is a copy of the given model whose weights and biases are
     views into one flat vector `theta`; `grads` are views of the same
     layout into `grad`, so a descent step is two whole-vector calls.
     Each layer's output and each hidden layer's delta get one buffer,
-    allocated here and reused by every epoch. The residual e = y - a_L
-    overwrites a purelin output, which nothing reads afterwards; a tanh
-    output layer keeps a residual buffer of its own, because its f' is
-    taken in place in the output's buffer and e * f' is written there.
-    The backward pass overwrites each tanh layer's output with f' and
-    then with that layer's delta once nothing else reads it, so the
-    buffers hold no activations after `loss_and_gradients`.
+    allocated here. Every input, output, residual and delta is then a
+    fixed array, and every `w.T` and `delta.T` a fixed view of one, so
+    the whole epoch is a tuple of `(numpy function, arguments)` steps,
+    built here and run unchanged by every `run()`: each layer's
+    `matmul`, bias add and `TransferFunction.apply`, the residual, and
+    the backward pass through each layer's `TransferFunction.derivative`,
+    and the loss. Both transfer calls write in place (see
+    `TransferFunction`), so f' lies in the buffer the plan handed over.
+    A purelin layer gets no derivative step and no multiply.
 
-    The backward pass propagates e, not -2e, and one `grad *= -2.0`
-    scales the gradient vector afterwards. A power of two scales every
-    product and sum exactly (short of overflow and subnormals), so the
-    gradients keep the bits of propagating -2e. The loss is computed
-    last, by squaring e in place.
+    The residual e = y - a_L overwrites a purelin output, which nothing
+    reads afterwards; a tanh output layer keeps a residual buffer of its
+    own, because its f' is taken in place in the output's buffer and
+    e * f' is written there. The backward pass overwrites each tanh
+    layer's output with f' and then with that layer's delta once nothing
+    else reads it, so the buffers hold no activations after `run()`.
+
+    The backward pass propagates e, not -2e, and `run()` leaves
+    -1/2 dL/dtheta in `grad`: the caller applies the -2, training
+    together with its learning rate in one `grad *= -2.0 * rate`. A
+    power of two scales every product and sum exactly (short of overflow
+    and subnormals), so the gradients keep the bits of propagating -2e.
+    The loss is computed last, by squaring e in place.
     """
 
     def __init__(self, model: MlpModel, x: np.ndarray, y: np.ndarray):
@@ -310,31 +323,37 @@ class _Epoch:
             transfers=model.transfers,
         )
         self.grads = _flat_layers(self.grad, sizes)
+        transfers = self.model._transfer_fns
         rows = x.shape[0]
-        self.x, self.y = x, y
-        self.outputs = [np.empty((rows, size)) for size in sizes[1:]]
-        self.deltas = [np.empty((rows, size)) for size in sizes[1:-1]]
-        reads_output = self.model._transfer_fns[-1].derivative is not None
-        self.residual = np.empty((rows, sizes[-1])) if reads_output else self.outputs[-1]
+        outputs = [np.empty((rows, size)) for size in sizes[1:]]
+        activations = [x, *outputs]
+        residual = outputs[-1] if transfers[-1].derivative is None else np.empty((rows, sizes[-1]))
 
-    def loss_and_gradients(self) -> float:
-        """The loss at `theta`; leaves dL/dtheta in `grad`."""
-        model = self.model
-        activations = _forward_trace(model, self.x, self.outputs)
-        e = np.subtract(self.y, activations[-1], out=self.residual)
-        delta = e
-        for k in reversed(range(model.n_layers)):
-            derivative = model._transfer_fns[k].derivative
+        steps = []
+        for (w, b), transfer, a, out in zip(params, transfers, activations, outputs):
+            steps += [(np.matmul, (a, w.T, out)), (np.add, (out, b, out)), (transfer.apply, (out,))]
+        steps.append((np.subtract, (y, outputs[-1], residual)))
+        delta = residual
+        for k in reversed(range(len(params))):
+            derivative = transfers[k].derivative
             if derivative is not None:
-                f = derivative(activations[k + 1])
-                delta = np.multiply(delta, f, out=f)
+                f = outputs[k]
+                steps += [(derivative, (f,)), (np.multiply, (delta, f, f))]
+                delta = f
             dw, db = self.grads[k]
-            np.matmul(delta.T, activations[k], out=dw)
-            np.add.reduce(delta, 0, None, db)
+            steps += [(np.matmul, (delta.T, activations[k], dw)), (np.add.reduce, (delta, 0, None, db))]
             if k > 0:
-                delta = np.matmul(delta, model.weights[k], out=self.deltas[k - 1])
-        self.grad *= -2.0
-        return float(np.add.reduce(np.multiply(e, e, out=e), None))
+                below = np.empty((rows, sizes[k]))
+                steps.append((np.matmul, (delta, self.model.weights[k], below)))
+                delta = below
+        steps += [(np.multiply, (residual, residual, residual)), (np.add.reduce, (residual, None))]
+        self.steps = tuple(steps)
+
+    def run(self) -> float:
+        """The loss at `theta`, which the last step sums; leaves -1/2 dL/dtheta in `grad`."""
+        for step, args in self.steps:
+            loss = step(*args)
+        return float(loss)
 
 
 def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
@@ -348,14 +367,17 @@ def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
     started = time.perf_counter()
     x, y = _as_pair(model, inputs, targets)
     epoch = _Epoch(model, x, y)
-    theta, grad, rate = epoch.theta, epoch.grad, cfg.learning_rate
+    # The epoch leaves -1/2 dL/dtheta in grad. -2.0 * rate is exact, so
+    # grad * (-2.0 * rate) rounds the same real product as (grad * -2.0) * rate
+    # unless an entry of grad reaches 2**1023 while the loss is finite.
+    run, theta, grad, scale = epoch.run, epoch.theta, epoch.grad, -2.0 * cfg.learning_rate
     history: list[float] = []
     prev = math.inf
     stop_reason = "max_epochs"
     # Divergence is a recorded outcome, so let overflow run to inf quietly.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_epochs):
-            loss = epoch.loss_and_gradients()
+            loss = run()
             history.append(loss)
             if not math.isfinite(loss):
                 stop_reason = "diverged"
@@ -364,7 +386,7 @@ def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
                 stop_reason = "converged"
                 break
             prev = loss
-            grad *= rate
+            grad *= scale
             theta -= grad
     report = TrainReport(
         loss_history=history,

@@ -4,16 +4,18 @@ Total time is t_dg + t_nt + N * t_pr: data generation plus training plus
 N predictions. The break-even count is the smallest N at which that
 total strictly undercuts N direct solver runs; ties count as not yet
 beneficial. Per-call timings are medians over repeated measurements,
-with the raw samples kept for audit.
+with the raw samples kept for audit; their quartiles give break-even a
+range.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -102,17 +104,32 @@ def summary(ledger: CostLedger, diverged: bool = False, rmse_test: float | None 
     the ledger's N. The verdict is "invalid" when the surrogate is
     unusable (its training diverged or its test RMSE is not finite),
     "never" when no N pays off, and otherwise N. Every artifact and
-    message that states a break-even N takes it from here. A ledger that
-    timed no solve, such as a what-if ledger from a config, has no
-    `cold_solve` key, so its artifact holds only the fields it states.
+    message that states a break-even N takes it from here.
+
+    A ledger with timing samples also gets `break_even_range`: the
+    verdict with `t_pr` and `t_solve` at their samples' quartiles
+    (linear interpolation), pessimistic end first (slow predictions
+    against fast solves), then optimistic. Either end can be "never".
+    A ledger that timed nothing, such as a what-if ledger from a config,
+    has no `cold_solve` and no `break_even_range` key, so its artifact
+    holds only the fields it states; an "invalid" verdict has no range.
     """
-    if diverged or (rmse_test is not None and not math.isfinite(rmse_test)):
-        verdict = "invalid"
-    else:
-        n_star = break_even(ledger)
-        verdict = "never" if n_star is None else n_star
     fields = {k: v for k, v in vars(ledger).items() if k != "cold_solve" or v is not None}
-    return {**fields, "break_even": verdict, "total_time": total_time(ledger)}
+    unusable = diverged or (rmse_test is not None and not math.isfinite(rmse_test))
+    doc = {**fields, "break_even": "invalid" if unusable else _verdict(ledger), "total_time": total_time(ledger)}
+    if not unusable and ledger.pr_samples and ledger.solve_samples:
+        pr_q1, pr_q3 = np.quantile(ledger.pr_samples, (0.25, 0.75))
+        solve_q1, solve_q3 = np.quantile(ledger.solve_samples, (0.25, 0.75))
+        doc["break_even_range"] = [
+            _verdict(replace(ledger, t_pr=float(pr_q3), t_solve=float(solve_q1))),
+            _verdict(replace(ledger, t_pr=float(pr_q1), t_solve=float(solve_q3))),
+        ]
+    return doc
+
+
+def _verdict(ledger: CostLedger) -> int | str:
+    n_star = break_even(ledger)
+    return "never" if n_star is None else n_star
 
 
 def measure(
@@ -148,8 +165,8 @@ def measure(
     return CostLedger(
         t_dg=float(t_dg),
         t_nt=float(t_nt),
-        t_pr=statistics.median(pr_samples),
-        t_solve=statistics.median(solve_samples),
+        t_pr=float(np.median(pr_samples)),
+        t_solve=float(np.median(solve_samples)),
         n_predictions=int(n_predictions),
         repetitions=int(repetitions),
         pr_samples=pr_samples,

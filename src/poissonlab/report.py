@@ -171,6 +171,12 @@ def _report(run_dir: Path) -> str:
             f"    break-even N              : {ledger_doc['break_even']} "
             f"(t_pr {_fmt_seconds(ledger_doc['t_pr'])} vs t_solve {_fmt_seconds(ledger_doc['t_solve'])})"
         )
+        if "break_even_range" in ledger_doc:
+            pessimistic, optimistic = ledger_doc["break_even_range"]
+            lines.append(
+                f"    break-even N range        : {pessimistic} to {optimistic} "
+                "(timing quartiles, pessimistic first)"
+            )
         lines.append(
             f"    total time at N={ledger_doc['n_predictions']:<9}: {_fmt_seconds(ledger_doc['total_time'])}"
         )

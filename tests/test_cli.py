@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -349,7 +350,7 @@ def test_surrogate_run_writes_no_file(tmp_path, monkeypatch):
 # Fields of cost_ledger.json that are timings or follow from them.
 LEDGER_TIMINGS = {
     "t_dg", "t_nt", "t_pr", "t_solve", "pr_samples", "solve_samples", "cold_prediction",
-    "cold_solve", "total_time", "break_even",
+    "cold_solve", "total_time", "break_even", "break_even_range",
 }
 
 
@@ -427,6 +428,24 @@ def test_surrogate_cost_ledger(surrogate_run):
     assert ledger["t_pr"] > 0.0 and ledger["t_solve"] > 0.0
     assert len(ledger["pr_samples"]) == 3
     assert ledger["break_even"] == "never" or isinstance(ledger["break_even"], int)
+    assert len(ledger["break_even_range"]) == 2
+    assert all(n == "never" or isinstance(n, int) for n in ledger["break_even_range"])
+
+
+def test_report_prints_the_break_even_range_and_reads_runs_without_it(surrogate_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(surrogate_run, run)
+    ledger = read_json(run / "cost_ledger.json")
+    ledger["break_even_range"] = ["never", 4321]
+    write_json(run / "cost_ledger.json", ledger)
+    assert main(["report", "--run", str(run)]) == 0
+    assert "break-even N range        : never to 4321" in capsys.readouterr().out
+    # A run written before the range existed still reports, without it.
+    del ledger["break_even_range"]
+    write_json(run / "cost_ledger.json", ledger)
+    assert main(["report", "--run", str(run)]) == 0
+    out = capsys.readouterr().out
+    assert "break-even N  " in out and "break-even N range" not in out
 
 
 def test_report_has_ten_question_rows(surrogate_run, capsys):

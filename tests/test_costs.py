@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonlab import costs
 from poissonlab.costs import (
     TIMING_JITTER_SECONDS,
     CostLedger,
@@ -179,6 +184,67 @@ def test_measure_warms_the_solve_before_timing_it():
     assert l.t_solve < 0.05 / 2
     assert summary(l)["cold_solve"] == l.cold_solve
     assert "cold_solve" not in summary(ledger(t_dg=1.0, t_nt=1.0, t_pr=0.1, t_solve=1.0))
+
+
+@pytest.mark.parametrize("repetitions", [5, 4])
+def test_measure_takes_the_median_of_its_samples(repetitions):
+    # The middle sample for an odd count, the mean of the two middle ones
+    # for an even count.
+    l = measure(0.0, 0.0, lambda: None, lambda: None, n_predictions=1, repetitions=repetitions)
+    for median, samples in ((l.t_pr, l.pr_samples), (l.t_solve, l.solve_samples)):
+        s = sorted(samples)
+        middle = s[2] if repetitions == 5 else (s[1] + s[2]) / 2
+        assert median == middle
+        assert type(median) is float
+
+
+def sampled_ledger(pr_samples, solve_samples):
+    return CostLedger(
+        t_dg=1000.0, t_nt=500.0, t_pr=float(np.median(pr_samples)), t_solve=float(np.median(solve_samples)),
+        n_predictions=10, repetitions=len(pr_samples), pr_samples=pr_samples, solve_samples=solve_samples,
+    )
+
+
+def test_summary_break_even_range_comes_from_the_quartiles():
+    # Five samples put the quartiles on the second and fourth: t_pr 0.2 and
+    # 0.4, t_solve 9 and 11. Pessimistic is slow predictions against fast
+    # solves.
+    l = sampled_ledger((0.5, 0.1, 0.3, 0.2, 0.4), (12.0, 8.0, 10.0, 9.0, 11.0))
+    pessimistic, optimistic = summary(l)["break_even_range"]
+    assert pessimistic == brute_force_break_even(ledger(t_dg=1000.0, t_nt=500.0, t_pr=0.4, t_solve=9.0))
+    assert optimistic == brute_force_break_even(ledger(t_dg=1000.0, t_nt=500.0, t_pr=0.2, t_solve=11.0))
+    assert pessimistic >= summary(l)["break_even"] >= optimistic
+
+
+def test_summary_break_even_range_can_end_in_never():
+    l = sampled_ledger((1.0, 2.0, 3.0, 4.0, 5.0), (3.0, 4.0, 5.0, 6.0, 7.0))
+    pessimistic, optimistic = summary(l)["break_even_range"]
+    assert pessimistic == "never"
+    assert optimistic == brute_force_break_even(ledger(t_dg=1000.0, t_nt=500.0, t_pr=2.0, t_solve=6.0))
+
+
+def test_summary_has_no_break_even_range_without_samples_or_when_invalid():
+    # A what-if ledger states no samples; an unusable surrogate has no N.
+    assert "break_even_range" not in summary(ledger(t_dg=1.0, t_nt=1.0, t_pr=0.1, t_solve=1.0))
+    l = sampled_ledger((0.1, 0.2, 0.3), (8.0, 9.0, 10.0))
+    assert "break_even_range" in summary(l)
+    assert "break_even_range" not in summary(l, diverged=True)
+    assert "break_even_range" not in summary(l, rmse_test=math.nan)
+
+
+def test_importing_the_cli_loads_no_statistics_module():
+    # statistics pulls in fractions and decimal, which cost every import of
+    # the package a few milliseconds.
+    script = """
+import sys
+import poissonlab.cli
+loaded = [name for name in ("statistics", "fractions", "decimal") if name in sys.modules]
+assert not loaded, f"importing the CLI loaded {loaded}"
+"""
+    src = Path(costs.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_measure_rejects_zero_repetitions():

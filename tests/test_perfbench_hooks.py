@@ -58,7 +58,7 @@ def test_every_pipeline_hook_records_calls_in_a_surrogate_run(tmp_path, capsys):
     finally:
         recorder.restore()
     calls = {name: row["calls"] for name, row in recorder.summarize().items()}
-    # Training calls ann._Epoch.loss_and_gradients, so these two spans
+    # Training calls ann._Epoch.run, so these two spans
     # already read 0 (ROADMAP item 1).
     silent = {name for _, _, name in tracer.PIPELINE_HOOKS if not calls.get(name)}
     assert silent <= {"ann.loss_sse", "ann.gradients"}
