@@ -15,8 +15,6 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ParameterError
 
 # Two ledgers measured on identical workloads should agree to within
@@ -107,8 +105,8 @@ def summary(ledger: CostLedger, diverged: bool = False, rmse_test: float | None 
     message that states a break-even N takes it from here.
 
     A ledger with timing samples also gets `break_even_range`: the
-    verdict with `t_pr` and `t_solve` at their samples' quartiles
-    (linear interpolation), pessimistic end first (slow predictions
+    verdict with `t_pr` and `t_solve` at their samples' quartiles,
+    pessimistic end first (slow predictions
     against fast solves), then optimistic. Either end can be "never".
     A ledger that timed nothing, such as a what-if ledger from a config,
     has no `cold_solve` and no `break_even_range` key, so its artifact
@@ -118,13 +116,27 @@ def summary(ledger: CostLedger, diverged: bool = False, rmse_test: float | None 
     unusable = diverged or (rmse_test is not None and not math.isfinite(rmse_test))
     doc = {**fields, "break_even": "invalid" if unusable else _verdict(ledger), "total_time": total_time(ledger)}
     if not unusable and ledger.pr_samples and ledger.solve_samples:
-        pr_q1, pr_q3 = np.quantile(ledger.pr_samples, (0.25, 0.75))
-        solve_q1, solve_q3 = np.quantile(ledger.solve_samples, (0.25, 0.75))
+        pr, solve = ledger.pr_samples, ledger.solve_samples
         doc["break_even_range"] = [
-            _verdict(replace(ledger, t_pr=float(pr_q3), t_solve=float(solve_q1))),
-            _verdict(replace(ledger, t_pr=float(pr_q1), t_solve=float(solve_q3))),
+            _verdict(replace(ledger, t_pr=_quantile(pr, 0.75), t_solve=_quantile(solve, 0.25))),
+            _verdict(replace(ledger, t_pr=_quantile(pr, 0.25), t_solve=_quantile(solve, 0.75))),
         ]
     return doc
+
+
+def _quantile(samples, q: float) -> float:
+    """The q-quantile of samples, interpolated linearly between order statistics.
+
+    At q = 0.5 this is the middle sample, or the mean of the two middle
+    ones: halves are exact, so s*0.5 + t*0.5 rounds like (s + t) / 2.
+    Plain Python, since numpy's median and quantile load numpy.ma (about
+    2 MB) on first use.
+    """
+    s = sorted(samples)
+    pos = q * (len(s) - 1)
+    lo = math.floor(pos)
+    frac = pos - lo
+    return s[lo] * (1.0 - frac) + s[min(lo + 1, len(s) - 1)] * frac
 
 
 def _verdict(ledger: CostLedger) -> int | str:
@@ -165,8 +177,8 @@ def measure(
     return CostLedger(
         t_dg=float(t_dg),
         t_nt=float(t_nt),
-        t_pr=float(np.median(pr_samples)),
-        t_solve=float(np.median(solve_samples)),
+        t_pr=_quantile(pr_samples, 0.5),
+        t_solve=_quantile(solve_samples, 0.5),
         n_predictions=int(n_predictions),
         repetitions=int(repetitions),
         pr_samples=pr_samples,

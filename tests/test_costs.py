@@ -232,14 +232,19 @@ def test_summary_has_no_break_even_range_without_samples_or_when_invalid():
     assert "break_even_range" not in summary(l, rmse_test=math.nan)
 
 
-def test_importing_the_cli_loads_no_statistics_module():
+def test_the_ledger_loads_neither_statistics_nor_numpy_ma():
     # statistics pulls in fractions and decimal, which cost every import of
-    # the package a few milliseconds.
+    # the package a few milliseconds. numpy's median and quantile load
+    # numpy.ma, about 2 MB of peak memory, so the ledger's medians and
+    # quartiles must not use them either.
     script = """
 import sys
 import poissonlab.cli
+from poissonlab import costs
 loaded = [name for name in ("statistics", "fractions", "decimal") if name in sys.modules]
 assert not loaded, f"importing the CLI loaded {loaded}"
+costs.summary(costs.measure(0.0, 0.0, lambda: None, lambda: None, n_predictions=1, repetitions=4))
+assert "numpy.ma" not in sys.modules, "the ledger loaded numpy.ma"
 """
     src = Path(costs.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
