@@ -106,15 +106,16 @@ def summary(ledger: CostLedger, diverged: bool = False, rmse_test: float | None 
 
     A ledger with timing samples also gets `break_even_range`: the
     verdict with `t_pr` and `t_solve` at their samples' quartiles,
-    pessimistic end first (slow predictions
-    against fast solves), then optimistic. Either end can be "never".
+    pessimistic end first (slow predictions against fast solves), then
+    optimistic. Either end can be "never".
     A ledger that timed nothing, such as a what-if ledger from a config,
     has no `cold_solve` and no `break_even_range` key, so its artifact
     holds only the fields it states; an "invalid" verdict has no range.
     """
     fields = {k: v for k, v in vars(ledger).items() if k != "cold_solve" or v is not None}
     unusable = diverged or (rmse_test is not None and not math.isfinite(rmse_test))
-    doc = {**fields, "break_even": "invalid" if unusable else _verdict(ledger), "total_time": total_time(ledger)}
+    verdict = "invalid" if unusable else _verdict(ledger)
+    doc = {**fields, "break_even": verdict, "total_time": total_time(ledger)}
     if not unusable and ledger.pr_samples and ledger.solve_samples:
         pr, solve = ledger.pr_samples, ledger.solve_samples
         doc["break_even_range"] = [
