@@ -6,11 +6,14 @@ dL/dw = -2 e^T x and dL/db = -2 e^T 1. Deeper models apply the standard
 backward recursion layer by layer. Divergence is a recorded training
 outcome, not an exception: steepest descent is only stable for small
 enough learning rates and the lab measures that boundary.
+
+Two engines: `_forward`, the forward pass of `predict_batch` and
+`loss_sse`, and `_Epoch`, the flat-parameter forward and backward pass
+of training, `gradients` and `check_gradients`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -32,15 +35,13 @@ class TransferFunction:
     changes nothing because x * 1.0 == x exactly.
     """
 
-    tag: str
     apply: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray] | None
 
 
 TRANSFERS = {
-    "purelin": TransferFunction(tag="purelin", apply=lambda n: n, derivative=None),
+    "purelin": TransferFunction(apply=lambda n: n, derivative=None),
     "tanh": TransferFunction(
-        tag="tanh",
         apply=lambda n: np.tanh(n, out=n),
         derivative=lambda a: np.subtract(1.0, np.multiply(a, a, out=a), out=a),
     ),
@@ -92,14 +93,6 @@ class MlpModel:
     @property
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            transfers=self.transfers,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -190,46 +183,30 @@ def _as_rows(arr, width: int, name: str) -> np.ndarray:
     return a
 
 
-def _as_batch(arr, width: int, name: str) -> np.ndarray:
-    a = _as_rows(arr, width, name)
-    return a if a.ndim == 2 else a[None, :]
-
-
 def predict_batch(model: MlpModel, inputs) -> np.ndarray:
     """Forward pass over rows of inputs; returns (n_samples, n_out).
 
     One 1-D row goes through the layers as a vector and comes back as
     (1, n_out).
     """
-    a0 = _as_rows(inputs, model.layer_sizes[0], "inputs")
-    out = _forward_trace(model, a0)[-1]
+    out = _forward(model, _as_rows(inputs, model.layer_sizes[0], "inputs"))
     return out if out.ndim == 2 else out[None, :]
 
 
-# A forward pass without buffers: None for every layer, however many.
-_UNBUFFERED = itertools.repeat(None)
-
-
-def _forward_trace(model: MlpModel, a0: np.ndarray, outputs=_UNBUFFERED) -> list:
-    """The activation entering each layer, then the output: [a0, ..., aL].
-
-    With `outputs`, one (rows, size) buffer per layer, each layer writes
-    its output into its buffer instead of a new array.
-    """
-    activations = [a0]
-    a = a0
-    for w, b, transfer, out in zip(model.weights, model.biases, model._transfer_fns, outputs):
-        # `@` is the cheaper call when there is no buffer (one-row predictions).
-        z = a @ w.T if out is None else np.matmul(a, w.T, out=out)
+def _forward(model: MlpModel, a: np.ndarray) -> np.ndarray:
+    """The output for one row (n_in,) or rows (n, n_in), as a 1-D or 2-D
+    array: one new array per layer, biased and transferred in place."""
+    for w, b, transfer in zip(model.weights, model.biases, model._transfer_fns):
+        z = a @ w.T
         z += b
         a = transfer.apply(z)
-        activations.append(a)
-    return activations
+    return a
 
 
 def _as_pair(model: MlpModel, inputs, targets) -> tuple:
-    x = _as_batch(inputs, model.layer_sizes[0], "inputs")
-    y = _as_batch(targets, model.layer_sizes[-1], "targets")
+    """Inputs and targets as (n, width) float rows, one row each per sample."""
+    x = np.atleast_2d(_as_rows(inputs, model.layer_sizes[0], "inputs"))
+    y = np.atleast_2d(_as_rows(targets, model.layer_sizes[-1], "targets"))
     if y.shape[0] != x.shape[0]:
         raise ShapeError("inputs and targets must have the same number of rows")
     return x, y
@@ -238,7 +215,7 @@ def _as_pair(model: MlpModel, inputs, targets) -> tuple:
 def loss_sse(model: MlpModel, inputs, targets) -> float:
     """Sum of squared errors over all samples and output components."""
     x, y = _as_pair(model, inputs, targets)
-    e = y - _forward_trace(model, x)[-1]
+    e = y - _forward(model, x)
     return float((e * e).sum())
 
 
@@ -246,20 +223,13 @@ def gradients(model: MlpModel, inputs, targets) -> list:
     """Per-layer (dL/dW, dL/db) for the sum-of-squared-errors loss.
 
     For a single linear neuron this is exactly (-2 e^T x, -2 e^T 1);
-    deeper layers chain the output error backwards through f'.
+    deeper layers chain the output error backwards through f'. The arrays
+    are views into the flat gradient vector of one training epoch.
     """
-    return _loss_and_gradients(model, *_as_pair(model, inputs, targets))[1]
-
-
-def _loss_and_gradients(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple:
-    """(loss_sse, gradients) from a single forward trace.
-
-    x and y must already have passed _as_pair; nothing is checked here.
-    """
-    epoch = _Epoch(model, x, y)
-    loss = epoch.run()
+    epoch = _Epoch(model, *_as_pair(model, inputs, targets))
+    epoch.run()
     epoch.grad *= -2.0
-    return loss, epoch.grads
+    return epoch.grads
 
 
 def _flat_layers(flat: np.ndarray, layer_sizes: tuple) -> list:
@@ -400,34 +370,29 @@ def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
 def check_gradients(model: MlpModel, inputs, targets, step: float = 1e-6) -> float:
     """Worst relative gap between analytic and central-difference gradients.
 
-    Every weight and bias is perturbed by +-step; the gap is normalized
+    The analytic gradient comes from one training epoch. Each entry of
+    its flat parameter vector, every weight and bias, is perturbed by
+    +-step in place, and `loss_sse` runs on the epoch's model, whose
+    weights and biases are views of that vector. The gap is normalized
     by max(1, |analytic|, |numeric|) so near-zero gradients are compared
-    absolutely.
+    absolutely. It is NaN when any gap is, as when the loss or a
+    parameter is not finite, so an unchecked gradient never reads 0.
     """
     if not step > 0:
         raise ParameterError("step must be > 0")
     x, y = _as_pair(model, inputs, targets)
-    analytic = gradients(model, x, y)
-    worst = 0.0
-    probe = model.copy()
-
-    def central_difference(array, index):
-        saved = array[index]
-        array[index] = saved + step
+    epoch = _Epoch(model, x, y)
+    epoch.run()
+    analytic = epoch.grad * -2.0
+    theta, probe = epoch.theta, epoch.model
+    numeric = np.empty_like(theta)
+    for i in range(theta.size):
+        saved = theta[i]
+        theta[i] = saved + step
         above = loss_sse(probe, x, y)
-        array[index] = saved - step
-        below = loss_sse(probe, x, y)
-        array[index] = saved
-        return (above - below) / (2.0 * step)
-
-    for k in range(model.n_layers):
-        dw, db = analytic[k]
-        for index in np.ndindex(probe.weights[k].shape):
-            numeric = central_difference(probe.weights[k], index)
-            gap = abs(numeric - dw[index]) / max(1.0, abs(numeric), abs(dw[index]))
-            worst = max(worst, gap)
-        for i in range(probe.biases[k].shape[0]):
-            numeric = central_difference(probe.biases[k], i)
-            gap = abs(numeric - db[i]) / max(1.0, abs(numeric), abs(db[i]))
-            worst = max(worst, gap)
-    return worst
+        theta[i] = saved - step
+        numeric[i] = (above - loss_sse(probe, x, y)) / (2.0 * step)
+        theta[i] = saved
+    scale = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(analytic)))
+    # np.max, unlike the builtin max, propagates NaN.
+    return float(np.max(np.abs(numeric - analytic) / scale))

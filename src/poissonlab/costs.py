@@ -17,10 +17,6 @@ from dataclasses import dataclass, replace
 
 from .errors import ParameterError
 
-# Two ledgers measured on identical workloads should agree to within
-# this bound; calibrated on the test machine with sleep stubs.
-TIMING_JITTER_SECONDS = 0.02
-
 # beneficial(N) multiplies N as a float, so no larger N can be tested.
 _LARGEST_N = int(sys.float_info.max)
 

@@ -14,7 +14,6 @@ from poissonlab.ann import (
     TrainConfig,
     _as_pair,
     _Epoch,
-    _loss_and_gradients,
     check_gradients,
     gradients,
     init_mlp,
@@ -180,9 +179,11 @@ def test_fused_loss_and_gradients_equal_separate_calls(transfers):
     model = init_mlp((3, 6, 4), transfers=transfers, seed=2)
     x = rng.normal(size=(9, 3))
     y = rng.normal(size=(9, 4))
-    loss, grads = _loss_and_gradients(model, x, y)
+    epoch = _Epoch(model, x, y)
+    loss = epoch.run()
+    epoch.grad *= -2.0
     assert loss == loss_sse(model, x, y)
-    for (dw, db), (ref_dw, ref_db) in zip(grads, gradients(model, x, y)):
+    for (dw, db), (ref_dw, ref_db) in zip(epoch.grads, gradients(model, x, y)):
         npt.assert_array_equal(dw, ref_dw)
         npt.assert_array_equal(db, ref_db)
 
@@ -196,6 +197,34 @@ def test_check_gradients_rejects_bad_step():
     ds = noisy_line_dataset()
     with pytest.raises(ParameterError):
         check_gradients(siso(1.0, 0.0), ds.inputs, ds.targets, step=0.0)
+
+
+@pytest.mark.parametrize("weight, inputs", [(1e200, 1e200), (math.nan, 1.0)])
+def test_check_gradients_is_nan_when_the_loss_is_not_finite(weight, inputs):
+    # An overflowing loss or a NaN weight leaves nothing to compare, which
+    # must not read as perfect agreement (0.0).
+    x = np.full((4, 1), inputs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(check_gradients(siso(weight, 0.0), x, np.zeros((4, 1))))
+
+
+def test_check_gradients_compares_every_weight_and_bias(monkeypatch):
+    rng = np.random.default_rng(4)
+    model = init_mlp((2, 3, 2), transfers=("tanh", "purelin"), seed=3)
+    x = rng.uniform(-1.0, 1.0, size=(6, 2))
+    y = rng.uniform(-1.0, 1.0, size=(6, 2))
+    assert check_gradients(model, x, y) < 1e-6
+    real_run = _Epoch.run
+    # 2 * 3 + 3 parameters in the hidden layer, 3 * 2 + 2 in the output layer.
+    for i in range(17):
+
+        def corrupted_run(self, i=i):
+            loss = real_run(self)
+            self.grad[i] += 0.5
+            return loss
+
+        monkeypatch.setattr(_Epoch, "run", corrupted_run)
+        assert check_gradients(model, x, y) > 0.1, f"parameter {i} was not compared"
 
 
 # -- training ----------------------------------------------------------
@@ -462,7 +491,7 @@ def test_trained_model_owns_its_arrays():
     x, y = profile_batch(20, seed=2)
     cfg = TrainConfig(learning_rate=5e-4, stop_tolerance=1e-12, max_epochs=30)
     start = init_mlp((3, 4, 101), seed=1)
-    saved = start.copy()
+    saved = MlpModel.from_dict(start.to_dict())
 
     def assert_same(a, b):
         for k in range(a.n_layers):
@@ -473,7 +502,7 @@ def test_trained_model_owns_its_arrays():
     second, _ = train_steepest_descent(start, x, y, cfg)
     assert_same(start, saved)
     assert_same(first, second)
-    expected = second.copy()
+    expected = MlpModel.from_dict(second.to_dict())
     for w, b in zip(first.weights, first.biases):
         w[...] = 7.0
         b[...] = -7.0

@@ -59,7 +59,7 @@ def test_every_pipeline_hook_records_calls_in_a_surrogate_run(tmp_path, capsys):
         recorder.restore()
     calls = {name: row["calls"] for name, row in recorder.summarize().items()}
     # Training calls ann._Epoch.run, so these two spans
-    # already read 0 (ROADMAP item 1).
+    # already read 0 (ROADMAP items 6 and 8).
     silent = {name for _, _, name in tracer.PIPELINE_HOOKS if not calls.get(name)}
     assert silent <= {"ann.loss_sse", "ann.gradients"}
     # The ledger's solves: one untimed warm-up, then the timed repetitions.
