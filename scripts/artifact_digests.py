@@ -7,6 +7,11 @@ deterministic, plus a SHA-256 of the training loss history when the run
 trains a network (`train_report.json` itself holds wall times) and of
 the architecture sweep's rows without their wall times.
 
+For each surrogate run it also digests the saved model's predictions
+on a fixed seeded block of 64 (g, y0, y1) rows drawn from the config's
+ranges: 64 stacked one-row `predict` calls, the path the ledger's
+`t_pr` times, and one batch call.
+
 It also runs `configs/surrogate_tanh.json` with `train.learning_rate`
 1.0, written as a temporary config and listed under its own key. That
 run diverges in the main training and in every sweep layout, so its
@@ -20,8 +25,8 @@ outputs are equal:
     (in a checkout of the other commit) python3 scripts/artifact_digests.py > before.json
     diff before.json after.json
 
-Uses only the standard library and the package under `src/` next to
-this script.
+Uses only the standard library, numpy and the package under `src/`
+next to this script.
 """
 
 from __future__ import annotations
@@ -37,8 +42,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from poissonlab import cli  # noqa: E402
 from poissonlab.fileio import sha256_file  # noqa: E402
+from poissonlab.surrogate import SurrogateModel  # noqa: E402
 
 # A config's command follows from the first of these sections it holds.
 COMMAND_BY_SECTION = (
@@ -61,9 +69,28 @@ def command_for(config: dict) -> str:
 # A config and a learning rate at which its training diverges.
 DIVERGING = ("configs/surrogate_tanh.json", 1.0)
 
+# The seed and size of the block of queries a saved surrogate answers.
+PREDICT_SEED, PREDICT_ROWS = 0, 64
+
+
+def digest_predictions(space: dict, model_path: Path) -> dict:
+    """Digests of a saved surrogate's one-row and batch predictions on the query block."""
+    model = SurrogateModel.from_dict(json.loads(model_path.read_text(encoding="utf-8")))
+    ranges = np.array([space["g_range"], space["y0_range"], space["y1_range"]])
+    block = np.random.default_rng(PREDICT_SEED).uniform(ranges[:, 0], ranges[:, 1], size=(PREDICT_ROWS, 3))
+    # A diverged model predicts inf and NaN; those bits are digested too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        single = np.vstack([model.predict(row) for row in block])
+        batch = model.predict(block)
+    return {
+        "predict_single": hashlib.sha256(single.tobytes()).hexdigest(),
+        "predict_batch": hashlib.sha256(batch.tobytes()).hexdigest(),
+    }
+
 
 def digest_run(config_path: Path, out_dir: Path) -> dict:
-    command = command_for(json.loads(config_path.read_text(encoding="utf-8")))
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    command = command_for(config)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([command, "--config", str(config_path), "--out", str(out_dir)])
     if code != 0:
@@ -83,6 +110,8 @@ def digest_run(config_path: Path, out_dir: Path) -> dict:
     if sweep.exists():
         rows = json.loads(sweep.read_text(encoding="utf-8"))["rows"]
         run["arch_sweep"] = sha256_json([{k: v for k, v in row.items() if k != "wall_time"} for row in rows])
+    if command == "surrogate":
+        run.update(digest_predictions(config["space"], out_dir / "model.json"))
     return run
 
 

@@ -9,7 +9,10 @@ enough learning rates and the lab measures that boundary.
 
 Two engines: `_forward`, the forward pass of `predict_batch` and
 `loss_sse`, and `_Epoch`, the flat-parameter forward and backward pass
-of training, `gradients` and `check_gradients`.
+of training, `gradients` and `check_gradients`. Both run on each layer's
+forward step, `(w.T, b, transfer.apply)`, which `MlpModel` resolves once
+when it is built; the steps are views, so weights and biases change only
+in place.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class TransferFunction:
 TRANSFERS = {
     "purelin": TransferFunction(apply=lambda n: n, derivative=None),
     "tanh": TransferFunction(
-        apply=lambda n: np.tanh(n, out=n),
+        apply=lambda n: np.tanh(n, n),
         derivative=lambda a: np.subtract(1.0, np.multiply(a, a, out=a), out=a),
     ),
 }
@@ -60,12 +63,16 @@ class MlpModel:
     """Layer sizes, one weight matrix and bias vector per layer, transfer tags.
 
     weights[k] has shape (layer_sizes[k+1], layer_sizes[k]) and biases[k]
-    has shape (layer_sizes[k+1],).
+    has shape (layer_sizes[k+1],). Each layer's forward step
+    `(weights[k].T, biases[k], transfer.apply)` is resolved once, here,
+    and holds views of those arrays. `weights` and `biases` are tuples,
+    so an entry changes only in place (as training's `theta -= grad`
+    does), and the steps always see the current values.
     """
 
     layer_sizes: tuple
-    weights: list
-    biases: list
+    weights: tuple
+    biases: tuple
     transfers: tuple
 
     def __post_init__(self):
@@ -77,8 +84,8 @@ class MlpModel:
         if not (len(self.weights) == len(self.biases) == len(self.transfers) == n_layers):
             raise ShapeError("weights, biases and transfers must have one entry per layer")
         try:
-            self.weights = [np.asarray(w, dtype=float) for w in self.weights]
-            self.biases = [np.asarray(b, dtype=float) for b in self.biases]
+            self.weights = tuple(np.asarray(w, dtype=float) for w in self.weights)
+            self.biases = tuple(np.asarray(b, dtype=float) for b in self.biases)
         except (TypeError, ValueError) as exc:
             raise ShapeError(f"weights and biases must be rectangular arrays of numbers: {exc}") from exc
         for k in range(n_layers):
@@ -87,8 +94,16 @@ class MlpModel:
                 raise ShapeError(f"layer {k} weights must be {want}, got {self.weights[k].shape}")
             if self.biases[k].shape != (self.layer_sizes[k + 1],):
                 raise ShapeError(f"layer {k} bias must be ({self.layer_sizes[k+1]},)")
-        # Resolved once here so no forward pass looks tags up per layer.
-        self._transfer_fns = tuple(resolve_transfer(tag) for tag in self.transfers)
+        # Resolved once here, so a forward pass pays only for its arithmetic.
+        self._layers = tuple(
+            (w.T, b, resolve_transfer(tag).apply)
+            for w, b, tag in zip(self.weights, self.biases, self.transfers)
+        )
+
+    def __reduce__(self):
+        # A copy or an unpickled model is built anew, so its layer steps
+        # view its own weights and biases, not copies made beside them.
+        return MlpModel, (self.layer_sizes, self.weights, self.biases, self.transfers)
 
     @property
     def n_layers(self) -> int:
@@ -195,11 +210,12 @@ def predict_batch(model: MlpModel, inputs) -> np.ndarray:
 
 def _forward(model: MlpModel, a: np.ndarray) -> np.ndarray:
     """The output for one row (n_in,) or rows (n, n_in), as a 1-D or 2-D
-    array: one new array per layer, biased and transferred in place."""
-    for w, b, transfer in zip(model.weights, model.biases, model._transfer_fns):
-        z = a @ w.T
+    array: one new array per layer, biased and transferred in place, by
+    the layer steps the model resolved when it was built."""
+    for wt, b, apply in model._layers:
+        z = a @ wt
         z += b
-        a = transfer.apply(z)
+        a = apply(z)
     return a
 
 
@@ -253,11 +269,12 @@ class _Epoch:
     layout into `grad`, so a descent step is two whole-vector calls.
     Each layer's output and each hidden layer's delta get one buffer,
     allocated here. Every input, output, residual and delta is then a
-    fixed array, and every `w.T` and `delta.T` a fixed view of one, so
-    the whole epoch is a tuple of `(numpy function, arguments)` steps,
-    built here and run unchanged by every `run()`: each layer's
-    `matmul`, bias add and `TransferFunction.apply`, the residual, and
-    the backward pass through each layer's `TransferFunction.derivative`,
+    fixed array, and every `w.T` (taken from the model's layer steps)
+    and `delta.T` a fixed view of one, so the whole epoch is a tuple of
+    `(numpy function, arguments)` steps, built here and run unchanged by
+    every `run()`: each layer's `matmul`, bias add and
+    `TransferFunction.apply`, the residual, and the backward pass
+    through each layer's `TransferFunction.derivative`,
     and the loss. Both transfer calls write in place (see
     `TransferFunction`), so f' lies in the buffer the plan handed over.
     A purelin layer gets no derivative step and no multiply.
@@ -293,19 +310,19 @@ class _Epoch:
             transfers=model.transfers,
         )
         self.grads = _flat_layers(self.grad, sizes)
-        transfers = self.model._transfer_fns
+        derivatives = [resolve_transfer(tag).derivative for tag in model.transfers]
         rows = x.shape[0]
         outputs = [np.empty((rows, size)) for size in sizes[1:]]
         activations = [x, *outputs]
-        residual = outputs[-1] if transfers[-1].derivative is None else np.empty((rows, sizes[-1]))
+        residual = outputs[-1] if derivatives[-1] is None else np.empty((rows, sizes[-1]))
 
         steps = []
-        for (w, b), transfer, a, out in zip(params, transfers, activations, outputs):
-            steps += [(np.matmul, (a, w.T, out)), (np.add, (out, b, out)), (transfer.apply, (out,))]
+        for (wt, b, apply), a, out in zip(self.model._layers, activations, outputs):
+            steps += [(np.matmul, (a, wt, out)), (np.add, (out, b, out)), (apply, (out,))]
         steps.append((np.subtract, (y, outputs[-1], residual)))
         delta = residual
         for k in reversed(range(len(params))):
-            derivative = transfers[k].derivative
+            derivative = derivatives[k]
             if derivative is not None:
                 f = outputs[k]
                 steps += [(derivative, (f,)), (np.multiply, (delta, f, f))]
@@ -332,10 +349,13 @@ def train_steepest_descent(model: MlpModel, inputs, targets, cfg: TrainConfig):
     Each epoch records the loss before updating; training stops when
     |loss_k - loss_{k-1}| < stop_tolerance ("converged"), when the loss
     turns non-finite ("diverged"), or at max_epochs. Returns the updated
-    model copy and a TrainReport.
+    model copy and a TrainReport. No rows is a ParameterError: a loss of
+    0.0 on no data would otherwise read as "converged".
     """
     started = time.perf_counter()
     x, y = _as_pair(model, inputs, targets)
+    if x.shape[0] == 0:
+        raise ParameterError("training needs at least one row")
     epoch = _Epoch(model, x, y)
     # The epoch leaves -1/2 dL/dtheta in grad. -2.0 * rate is exact, so
     # grad * (-2.0 * rate) rounds the same real product as (grad * -2.0) * rate

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from poissonlab.ann import (
     TrainConfig,
     _as_pair,
     _Epoch,
+    _flat_layers,
     check_gradients,
     gradients,
     init_mlp,
@@ -22,6 +25,7 @@ from poissonlab.ann import (
     train_steepest_descent,
 )
 from poissonlab.errors import ParameterError, ShapeError
+from poissonlab.surrogate import SurrogateModel
 
 ROOT = Path(__file__).resolve().parent.parent
 SURROGATE_TANH = json.loads((ROOT / "configs" / "surrogate_tanh.json").read_text())
@@ -450,6 +454,73 @@ def test_gradients_equal_the_textbook_minus_two_e_bit_for_bit(case):
         npt.assert_array_equal(db, ref_db)
 
 
+def reference_prediction(doc, x):
+    """The textbook forward pass on a saved model, read from its weights alone."""
+    weights = [np.array(w) for w in doc["weights"]]
+    biases = [np.array(b) for b in doc["biases"]]
+    return np.atleast_2d(reference_forward(doc["transfers"], weights, biases, x)[0][-1])
+
+
+@pytest.mark.parametrize("case", list(gradient_cases()), ids=lambda case: case[0])
+def test_forward_equals_the_textbook_forward_bit_for_bit(case):
+    # Prediction runs on the layer steps resolved when the model was built;
+    # they must do the textbook arithmetic on one 1-D row, one (1, n) row
+    # and a batch, and so must a model read back from its saved form.
+    _, model, x, _ = case
+    center, scale = np.linspace(-0.5, 0.5, 3), np.array([2.0, 0.5, 1.5])
+    for rows in (x[0], x[:1], x):
+        expected = reference_prediction(model.to_dict(), rows)
+        npt.assert_array_equal(predict_batch(model, rows), expected)
+        npt.assert_array_equal(predict_batch(MlpModel.from_dict(model.to_dict()), rows), expected)
+        if model.layer_sizes[0] == 3:
+            surrogate = SurrogateModel(model, center, scale, np.linspace(0.0, 1.0, model.layer_sizes[-1]))
+            saved = SurrogateModel.from_dict(surrogate.to_dict())
+            expected = reference_prediction(model.to_dict(), (rows - center) / scale)
+            npt.assert_array_equal(saved.predict(rows), expected)
+
+
+def test_layer_steps_track_in_place_edits():
+    model = init_mlp((3, 4, 2), seed=5)
+    x, _ = profile_batch(6, seed=1)
+    before = predict_batch(model, x)
+    model.weights[0][1, 2] += 0.25
+    model.biases[1][...] = -1.0
+    model.weights[1][...] *= 2.0
+    after = predict_batch(model, x)
+    assert not np.array_equal(after, before)
+    npt.assert_array_equal(after, reference_prediction(model.to_dict(), x))
+    # An entry cannot be replaced, so no layer step is left on an old array.
+    with pytest.raises(TypeError):
+        model.weights[0] = np.zeros((4, 3))
+    with pytest.raises(TypeError):
+        model.biases[1] = np.zeros(2)
+
+
+def test_copied_model_steps_view_its_own_arrays():
+    model = init_mlp((3, 4, 2), seed=5)
+    x, _ = profile_batch(6, seed=1)
+    for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        clone.weights[0][...] = 0.5
+        clone.biases[0][...] = -0.5
+        npt.assert_array_equal(predict_batch(clone, x), reference_prediction(clone.to_dict(), x))
+    npt.assert_array_equal(predict_batch(model, x), reference_prediction(init_mlp((3, 4, 2), seed=5).to_dict(), x))
+
+
+def test_epoch_model_predicts_from_the_current_theta():
+    model = init_mlp((3, 4, 101), seed=2)
+    x, y = profile_batch(10, seed=3)
+    epoch = _Epoch(model, x, y)
+    before = predict_batch(epoch.model, x)
+    epoch.run()
+    epoch.grad *= -2.0 * 1e-2
+    epoch.theta -= epoch.grad
+    after = predict_batch(epoch.model, x)
+    assert not np.array_equal(after, before)
+    layers = _flat_layers(epoch.theta.copy(), model.layer_sizes)
+    doc = {"weights": [w for w, _ in layers], "biases": [b for _, b in layers], "transfers": model.transfers}
+    npt.assert_array_equal(after, reference_prediction(doc, x))
+
+
 def training_peak(model, x, y):
     """tracemalloc's peak over 20 training epochs, x and y made beforehand."""
     cfg = TrainConfig(learning_rate=1e-4, stop_tolerance=1e-300, max_epochs=20)
@@ -511,6 +582,13 @@ def test_trained_model_owns_its_arrays():
     assert_same(third, expected)
     assert_same(second, expected)
     assert_same(start, saved)
+
+
+def test_train_refuses_zero_rows():
+    # A loss of 0.0 on no data is no evidence of convergence.
+    cfg = TrainConfig(learning_rate=0.1, stop_tolerance=1e-9, max_epochs=5)
+    with pytest.raises(ParameterError):
+        train_steepest_descent(init_mlp((1, 4, 2)), np.zeros(0), np.zeros((0, 2)), cfg)
 
 
 def test_train_config_validation():
