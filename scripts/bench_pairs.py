@@ -31,10 +31,13 @@ descriptor, every pair's metrics on both sides, and for each end-to-end
 metric each side's median and quartiles, the number of pairs the working
 tree won (ties count for neither), whether that is a gain by the
 benchmark's rule (at least 9 wins in 10, medians apart by more than the
-ref's interquartile range) and whether the working tree's median stays
-within the metric's bound. Each side's `attempted` and `failed` counts
-are summed over the pairs; a larger failure share in the working tree
-than in the ref is flagged, since the benchmark rejects such a change.
+ref's interquartile range), whether it is worse by the mirror of that
+rule (at least 9 losses in 10, the working tree's median worse by more
+than the ref's interquartile range) and whether the working tree's
+median stays within the metric's bound. Each side's `attempted` and
+`failed` counts are summed over the pairs; a larger failure share in
+the working tree than in the ref is flagged, since the benchmark
+rejects such a change.
 """
 
 from __future__ import annotations
@@ -113,6 +116,7 @@ def compare(name: str, pairs: list, spec: dict) -> dict:
     change = [p["change"]["metrics"][name] for p in pairs]
     sign = 1.0 if spec["better"] == "higher" else -1.0
     wins = sum(sign * (c - r) > 0 for r, c in zip(ref, change))
+    losses = sum(sign * (c - r) < 0 for r, c in zip(ref, change))
     ref_s, change_s = side_summary(ref), side_summary(change)
     gap = sign * (change_s["median"] - ref_s["median"])  # > 0 when the change is better
     ref_iqr = ref_s["q3"] - ref_s["q1"]
@@ -127,6 +131,7 @@ def compare(name: str, pairs: list, spec: dict) -> dict:
         "median_change_frac": (change_s["median"] - ref_s["median"]) / ref_s["median"],
         "ref_iqr": ref_iqr,
         "gain": wins >= 0.9 * len(pairs) and gap > ref_iqr,
+        "worse": losses >= 0.9 * len(pairs) and -gap > ref_iqr,
         "within_bound": -gap <= spec["bound"] * abs(ref_s["median"]),
     }
 
@@ -203,7 +208,8 @@ def main() -> int:
         print(f"{name:40s} ref {m['ref']['median']:.6g} [{m['ref']['q1']:.6g}, {m['ref']['q3']:.6g}]  "
               f"change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]  "
               f"{m['median_change_frac']:+.1%}  wins {m['change_wins']}/{m['pairs']}"
-              f"{'  gain' if m['gain'] else ''}{'' if m['within_bound'] else '  OUT OF BOUND'}")
+              f"{'  gain' if m['gain'] else ''}{'  WORSE' if m['worse'] else ''}"
+              f"{'' if m['within_bound'] else '  OUT OF BOUND'}")
     ref_f, change_f = failures["ref"], failures["change"]
     print(f"failed: ref {ref_f['failed']}/{ref_f['attempted']}, change {change_f['failed']}/{change_f['attempted']}"
           f"{'  CHANGE FAILS MORE' if change_f['share'] > ref_f['share'] else ''}")

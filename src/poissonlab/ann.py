@@ -211,9 +211,17 @@ def predict_batch(model: MlpModel, inputs) -> np.ndarray:
 def _forward(model: MlpModel, a: np.ndarray) -> np.ndarray:
     """The output for one row (n_in,) or rows (n, n_in), as a 1-D or 2-D
     array: one new array per layer, biased and transferred in place, by
-    the layer steps the model resolved when it was built."""
+    the layer steps the model resolved when it was built.
+
+    A 1-D row takes each layer's product through `np.dot` and rows
+    through `np.matmul`. Both reach the same BLAS routine, so the bits
+    are the same, but `np.dot` skips about 0.5 µs of matmul's dispatch
+    per layer on a vector, while on a large batch it is slower (with
+    `out=`, (1600, 3) @ (3, 101) took 114 µs against matmul's 79 µs).
+    """
+    product = np.dot if a.ndim == 1 else np.matmul
     for wt, b, apply in model._layers:
-        z = a @ wt
+        z = product(a, wt)
         z += b
         a = apply(z)
     return a

@@ -52,6 +52,13 @@ def _number(value, path: str) -> float:
     return number
 
 
+def _positive(value, path: str) -> float:
+    number = _number(value, path)
+    if not number > 0:
+        raise ConfigError(f"{path}: must be > 0, got {value!r}")
+    return number
+
+
 def _at_least(minimum: float):
     def read(value, path: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -215,7 +222,7 @@ SECTIONS = {
     "data_curve": ("data_curve", _Section(
         DataCurveSpec, sizes=_list_of(_width, min_len=1), seeds=_list_of(_at_least(0), min_len=1))),
     "eval": ("eval_spec", _Section(
-        EvalSpec, multipliers=_list_of(_number, min_len=1),
+        EvalSpec, multipliers=_list_of(_positive, min_len=1),
         perturbations=_list_of(_number, min_len=1), seed=_seed, n_fresh=_width)),
     "costs": ("cost_spec", _Section(CostSpec, repetitions=_width, n_predictions=_at_least(0))),
     "ledger": ("ledger", _Section(

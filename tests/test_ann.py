@@ -479,6 +479,22 @@ def test_forward_equals_the_textbook_forward_bit_for_bit(case):
             npt.assert_array_equal(saved.predict(rows), expected)
 
 
+@pytest.mark.parametrize("output", ["purelin", "tanh"])
+@pytest.mark.parametrize("hidden", [(), (1,), (8,), (16, 16)], ids=["none", "1", "8", "16-16"])
+def test_one_row_and_batches_equal_the_textbook_forward_bit_for_bit(hidden, output):
+    # A 1-D row takes np.dot and rows take np.matmul; either must give the
+    # bits of the textbook's `a @ w.T + b` on that row or batch.
+    rng = np.random.default_rng(17)
+    for fan_in in (2, 3):
+        rows = rng.normal(size=(1600, fan_in))
+        for fan_out in (1, 8, 101):
+            sizes = (fan_in, *hidden, fan_out)
+            model = init_mlp(sizes, transfers=("tanh",) * len(hidden) + (output,), seed=sum(sizes))
+            doc = model.to_dict()
+            for x in (rows[0], *(rows[:n] for n in (2, 7, 52, 1600))):
+                npt.assert_array_equal(predict_batch(model, x), reference_prediction(doc, x), err_msg=f"{sizes} {x.shape}")
+
+
 def test_layer_steps_track_in_place_edits():
     model = init_mlp((3, 4, 2), seed=5)
     x, _ = profile_batch(6, seed=1)

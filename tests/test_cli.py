@@ -242,8 +242,11 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
         ("surrogate", "configs/surrogate_minimal.json", "data_curve", "sizes", [8, 0],
          "data_curve.sizes[1]: must be >= 1"),
         ("fit", "configs/fit_demo.json", "regression", "n", 1, "regression.n: must be >= 2"),
+        ("surrogate", "configs/surrogate_minimal.json", "eval", "multipliers", [1.0, -1.0],
+         "eval.multipliers[1]: must be > 0"),
     ],
-    ids=["n_fresh-0", "repetitions-0", "n_predictions-negative", "curve-size-0", "regression-n-1"],
+    ids=["n_fresh-0", "repetitions-0", "n_predictions-negative", "curve-size-0", "regression-n-1",
+         "multiplier-negative"],
 )
 def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, section, key, value, message):
     doc = json.loads(Path(source).read_text())
