@@ -216,11 +216,12 @@ def _forward(model: MlpModel, a: np.ndarray) -> np.ndarray:
 
     A 1-D row takes each layer's product through `np.dot` and rows
     through `@` (`operator.matmul`). Both reach the same BLAS routine, so
-    the bits are the same, but `np.dot` skips about 0.5 µs of matmul's
-    dispatch per layer on a vector, while on a large batch it is slower
-    (with `out=`, (1600, 3) @ (3, 101) took 114 µs against matmul's 79 µs).
-    Rows keep the `@` of earlier versions: `np.matmul` called by name
-    read about 1% lower on the `query` benchmark's batch rate.
+    the bits are the same, but `np.dot` skips 0.3-0.6 µs of matmul's
+    dispatch per layer on a vector, while on a large batch it is slower:
+    (1024, 8) @ (8, 101) took 120 µs against matmul's 68 µs (2-core
+    Linux, numpy 2.4.6, one OpenBLAS thread). Rows keep the `@` of
+    earlier versions: `np.matmul` called by name read about 1% lower on
+    the `query` benchmark's batch rate.
     """
     product = np.dot if a.ndim == 1 else operator.matmul
     for wt, b, apply in model._layers:
