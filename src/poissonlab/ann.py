@@ -18,7 +18,6 @@ in place.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -215,15 +214,13 @@ def _forward(model: MlpModel, a: np.ndarray) -> np.ndarray:
     the layer steps the model resolved when it was built.
 
     A 1-D row takes each layer's product through `np.dot` and rows
-    through `@` (`operator.matmul`). Both reach the same BLAS routine, so
-    the bits are the same, but `np.dot` skips 0.3-0.6 µs of matmul's
-    dispatch per layer on a vector, while on a large batch it is slower:
+    through `np.matmul`. Both reach the same BLAS routine, so the bits
+    are the same, but `np.dot` skips 0.3-0.6 µs of matmul's dispatch per
+    layer on a vector, while on a large batch it is slower:
     (1024, 8) @ (8, 101) took 120 µs against matmul's 68 µs (2-core
-    Linux, numpy 2.4.6, one OpenBLAS thread). Rows keep the `@` of
-    earlier versions: `np.matmul` called by name read about 1% lower on
-    the `query` benchmark's batch rate.
+    Linux, numpy 2.4.6, one OpenBLAS thread).
     """
-    product = np.dot if a.ndim == 1 else operator.matmul
+    product = np.dot if a.ndim == 1 else np.matmul
     for wt, b, apply in model._layers:
         z = product(a, wt)
         z += b
