@@ -492,7 +492,8 @@ def test_one_row_and_batches_equal_the_textbook_forward_bit_for_bit(hidden, outp
             model = init_mlp(sizes, transfers=("tanh",) * len(hidden) + (output,), seed=sum(sizes))
             doc = model.to_dict()
             for x in (rows[0], *(rows[:n] for n in (2, 7, 52, 1600))):
-                npt.assert_array_equal(predict_batch(model, x), reference_prediction(doc, x), err_msg=f"{sizes} {x.shape}")
+                expected = reference_prediction(doc, x)
+                npt.assert_array_equal(predict_batch(model, x), expected, err_msg=f"{sizes} {x.shape}")
 
 
 def test_layer_steps_track_in_place_edits():
