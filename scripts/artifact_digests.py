@@ -8,15 +8,17 @@ trains a network (`train_report.json` itself holds wall times) and of
 the architecture sweep's rows without their wall times.
 
 For each surrogate run it also digests the saved model's predictions
-on a fixed seeded block of 64 (g, y0, y1) rows drawn from the config's
+on a fixed seeded block of 64 parameter rows drawn from the config's
 ranges: 64 stacked one-row `predict` calls, the path the ledger's
 `t_pr` times, and one batch call.
 
-It also runs `configs/surrogate_tanh.json` with `train.learning_rate`
-1.0, written as a temporary config and listed under its own key. That
-run diverges in the main training and in every sweep layout, so its
-digests cover losses and gradients near overflow, not only a
-converging run.
+It also runs two variants of `configs/surrogate_tanh.json`, each
+written as a temporary config and listed under its own key. With
+`train.learning_rate` 1.0 the run diverges in the main training and in
+every sweep layout, so its digests cover losses and gradients near
+overflow, not only a converging run. With `space.sampling` "grid" its
+64 samples are a 4 x 4 x 4 grid, so the grid branch of sampling is
+covered too.
 
 Two commits give bit-identical deterministic artifacts when their
 outputs are equal:
@@ -45,6 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from poissonlab import cli  # noqa: E402
+from poissonlab.config import parse_config  # noqa: E402
 from poissonlab.fileio import sha256_file  # noqa: E402
 from poissonlab.surrogate import SurrogateModel  # noqa: E402
 
@@ -66,18 +69,22 @@ def command_for(config: dict) -> str:
     raise ValueError(f"no command for a config with sections {sorted(config)}")
 
 
-# A config and a learning rate at which its training diverges.
-DIVERGING = ("configs/surrogate_tanh.json", 1.0)
+# A base config and the variants of it that run as well: (section, key,
+# value) edits. At learning rate 1.0 its training diverges.
+VARIANT_BASE = "configs/surrogate_tanh.json"
+VARIANTS = (("train", "learning_rate", 1.0), ("space", "sampling", "grid"))
 
 # The seed and size of the block of queries a saved surrogate answers.
 PREDICT_SEED, PREDICT_ROWS = 0, 64
 
 
-def digest_predictions(space: dict, model_path: Path) -> dict:
+def digest_predictions(config: dict, model_path: Path) -> dict:
     """Digests of a saved surrogate's one-row and batch predictions on the query block."""
     model = SurrogateModel.from_dict(json.loads(model_path.read_text(encoding="utf-8")))
-    ranges = np.array([space["g_range"], space["y0_range"], space["y1_range"]])
-    block = np.random.default_rng(PREDICT_SEED).uniform(ranges[:, 0], ranges[:, 1], size=(PREDICT_ROWS, 3))
+    ranges = np.array(parse_config(config).space.ranges)
+    block = np.random.default_rng(PREDICT_SEED).uniform(
+        ranges[:, 0], ranges[:, 1], size=(PREDICT_ROWS, len(ranges))
+    )
     # A diverged model predicts inf and NaN; those bits are digested too.
     with np.errstate(over="ignore", invalid="ignore"):
         single = np.vstack([model.predict(row) for row in block])
@@ -111,7 +118,7 @@ def digest_run(config_path: Path, out_dir: Path) -> dict:
         rows = json.loads(sweep.read_text(encoding="utf-8"))["rows"]
         run["arch_sweep"] = sha256_json([{k: v for k, v in row.items() if k != "wall_time"} for row in rows])
     if command == "surrogate":
-        run.update(digest_predictions(config["space"], out_dir / "model.json"))
+        run.update(digest_predictions(config, out_dir / "model.json"))
     return run
 
 
@@ -125,12 +132,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for i, path in enumerate(configs):
             digests[str(path.relative_to(ROOT))] = digest_run(path, Path(tmp) / str(i))
-        base, rate = DIVERGING
-        config = json.loads((ROOT / base).read_text(encoding="utf-8"))
-        config["train"]["learning_rate"] = rate
-        path = Path(tmp) / "diverging.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        digests[f"{base} train.learning_rate={rate}"] = digest_run(path, Path(tmp) / "diverging")
+        for section, key, value in VARIANTS:
+            config = json.loads((ROOT / VARIANT_BASE).read_text(encoding="utf-8"))
+            config[section][key] = value
+            name = f"{section}.{key}={value}"
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            digests[f"{VARIANT_BASE} {name}"] = digest_run(path, Path(tmp) / name)
     json.dump(digests, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -170,7 +170,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     out = _Artifacts(out_dir)
     out.csv(
         "inputs.csv",
-        ("g", "y0", "y1", "split"),
+        (*pde.PARAMETERS, "split"),
         ((*row.tolist(), tag) for row, tag in zip(dataset.inputs, dataset.split)),
     )
     out.csv("outputs.csv", tuple(f"y_{j}" for j in range(dataset.grid.shape[0])), dataset.outputs)

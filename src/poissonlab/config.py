@@ -25,7 +25,7 @@ from pathlib import Path
 from .ann import TRANSFERS, TrainConfig
 from .costs import CostLedger
 from .errors import ConfigError, ParameterError
-from .pde import DEFAULT_N_NODES, PoissonProblem
+from .pde import DEFAULT_N_NODES, PARAMETERS, PoissonProblem
 from .surrogate import SAMPLINGS, ParameterSpace
 
 
@@ -161,7 +161,7 @@ class ArchSpec:
     output_transfer: str = "purelin"
 
     def layer_sizes(self, n_out: int) -> tuple:
-        return (3, *self.hidden, n_out)
+        return (len(PARAMETERS), *self.hidden, n_out)
 
     def transfer_tags(self) -> tuple:
         return (*([self.hidden_transfer] * len(self.hidden)), self.output_transfer)

@@ -19,6 +19,9 @@ from .linalg import TridiagonalSystem, solve_tridiagonal
 
 PROVENANCES = ("analytic", "fdm")
 
+# The columns of a parameter row, in the order fdm_values takes them.
+PARAMETERS = ("g", "y0", "y1")
+
 DEFAULT_N_NODES = 101
 
 

@@ -5,8 +5,10 @@ values, and measure how the surrogate holds up in and out of range.
 the results as a `SurrogateRun`, without writing a file.
 
 Data generation draws every sample from one PCG64 stream per branch of
-the master seed's tree; sample i is the stream's i-th triple, so each
+the master seed's tree; sample i is the stream's i-th row, so each
 random draw depends only on the master seed and the sample's index.
+A parameter row's columns are `pde.PARAMETERS`; every width here is read
+from that tuple, from the data or from the model.
 Model inputs are standardized to zero mean and unit range on the train
 split; the offsets live inside the trained artifact so predictions stay
 well defined.
@@ -24,7 +26,7 @@ import numpy as np
 from . import ann, costs
 from .errors import ParameterError, ShapeError
 from .linalg import as_matrix
-from .pde import PoissonProblem, fdm_values, solve_fdm
+from .pde import PARAMETERS, PoissonProblem, fdm_values, solve_fdm
 
 if TYPE_CHECKING:  # config imports this module
     from .config import ExperimentConfig
@@ -52,7 +54,7 @@ class ParameterSpace:
     master_seed: int
 
     def __post_init__(self):
-        for name in ("g_range", "y0_range", "y1_range"):
+        for name in (f"{p}_range" for p in PARAMETERS):
             lo, hi = getattr(self, name)
             object.__setattr__(self, name, (float(lo), float(hi)))
             if not lo <= hi:
@@ -69,7 +71,7 @@ class ParameterSpace:
 
     @property
     def ranges(self) -> tuple:
-        return (self.g_range, self.y0_range, self.y1_range)
+        return tuple(getattr(self, f"{p}_range") for p in PARAMETERS)
 
 
 @dataclass
@@ -88,8 +90,6 @@ class SurrogateDataset:
         self.outputs = as_matrix(self.outputs)
         self.grid = np.asarray(self.grid, dtype=float)
         self.split = list(self.split)
-        if self.inputs.shape[1] != 3:
-            raise ShapeError(f"inputs must be (n, 3), got {self.inputs.shape}")
         if self.outputs.shape[0] != self.inputs.shape[0]:
             raise ShapeError("inputs and outputs must have equal row counts")
         if self.outputs.shape[1] != self.grid.shape[0]:
@@ -114,9 +114,9 @@ class SurrogateDataset:
 
 
 def _seeded_draws(ranges, count: int, seed: int, *branch: int) -> np.ndarray:
-    """(count, 3) uniform draws from the PCG64 stream at (seed, *branch) in the seed tree.
+    """(count, len(ranges)) uniform draws from the PCG64 stream at (seed, *branch) in the seed tree.
 
-    Row i is the stream's i-th triple, so it depends only on (seed, branch, i)
+    Row i is the stream's i-th row, so it depends only on (seed, branch, i)
     and the first k rows are the same for every count >= k.
     """
     lo, hi = np.array(ranges, dtype=float).T
@@ -125,7 +125,7 @@ def _seeded_draws(ranges, count: int, seed: int, *branch: int) -> np.ndarray:
 
 
 def sample_inputs(space: ParameterSpace) -> np.ndarray:
-    """(n_samples, 3) parameter draws, uniform per-sample or a cube grid.
+    """(n_samples, len(PARAMETERS)) parameter rows, uniform per-sample or a cube grid.
 
     Grid sampling requires n_samples to be a perfect cube and lays the
     samples out as the cartesian product of per-axis linspaces.
@@ -205,23 +205,25 @@ class SurrogateModel:
         self.input_center = np.asarray(self.input_center, dtype=float)
         self.input_scale = np.asarray(self.input_scale, dtype=float)
         self.grid = np.asarray(self.grid, dtype=float)
-        if self.input_center.shape != (3,) or self.input_scale.shape != (3,):
-            raise ShapeError("standardization parameters must have shape (3,)")
-        if self.mlp.layer_sizes[0] != 3:
-            raise ShapeError(f"model input size must be 3, got {self.mlp.layer_sizes[0]}")
+        n_in = self.mlp.layer_sizes[0]
+        if not self.input_center.shape == self.input_scale.shape == (n_in,):
+            raise ShapeError(
+                f"model input size must be {self.input_center.size}, got {n_in}"
+                f" (standardization offsets {self.input_center.shape} and {self.input_scale.shape})"
+            )
         if self.mlp.layer_sizes[-1] != self.grid.shape[0]:
             raise ShapeError("model output size must match the grid length")
 
     def predict(self, raw_inputs) -> np.ndarray:
-        """(n, grid_size) nodal predictions for raw (g, y0, y1) rows.
+        """(n, grid_size) nodal predictions for raw parameter rows.
 
-        A single (g, y0, y1) row may be 1-D; it gives (1, grid_size).
+        A single row may be 1-D; it gives (1, grid_size).
         """
         x = np.asarray(raw_inputs, dtype=float)
         # Checked before standardizing, which would broadcast a scalar or a
-        # width-1 input against the (3,) offsets into plausible rows.
+        # width-1 input against the offsets into plausible rows.
         if x.ndim not in (1, 2) or x.shape[-1] != self.mlp.layer_sizes[0]:
-            raise ShapeError(f"inputs must be (g, y0, y1) rows of shape (3,) or (n, 3), got {x.shape}")
+            raise ShapeError(f"inputs must be rows of {self.mlp.layer_sizes[0]} parameters, got shape {x.shape}")
         return ann.predict_batch(self.mlp, (x - self.input_center) / self.input_scale)
 
     def to_dict(self) -> dict:
@@ -257,8 +259,8 @@ def train_surrogate(
 ) -> tuple:
     """Train on the train split only; returns (SurrogateModel, TrainReport)."""
     layer_sizes = tuple(int(s) for s in layer_sizes)
-    if layer_sizes[0] != 3:
-        raise ShapeError(f"surrogate input size must be 3, got {layer_sizes[0]}")
+    if layer_sizes[0] != dataset.inputs.shape[1]:
+        raise ShapeError(f"surrogate input size must be {dataset.inputs.shape[1]}, got {layer_sizes[0]}")
     if layer_sizes[-1] != dataset.grid.shape[0]:
         raise ShapeError(
             f"surrogate output size {layer_sizes[-1]} must match grid {dataset.grid.shape[0]}"
@@ -282,8 +284,8 @@ class EvalReport:
     Split metrics are None when the split is empty; extrapolation pairs
     (range multiplier, rmse); sensitivity pairs (input perturbation, max
     output deviation); bc_violation_mean is the mean gap between
-    predicted end-node values and the boundary values the physics
-    prescribes.
+    predicted end-node values and the solver's, which are the
+    prescribed boundary values.
     """
 
     rmse_train: float | None
@@ -315,12 +317,7 @@ def scaled_space(space: ParameterSpace, multiplier: float) -> ParameterSpace:
         half = 0.5 * (hi - lo) * multiplier
         return (mid - half, mid + half)
 
-    return replace(
-        space,
-        g_range=scale(space.g_range),
-        y0_range=scale(space.y0_range),
-        y1_range=scale(space.y1_range),
-    )
+    return replace(space, **{f"{p}_range": scale(r) for p, r in zip(PARAMETERS, space.ranges)})
 
 
 def evaluate(
@@ -357,8 +354,8 @@ def evaluate(
         )
 
     bc_gap = 0.5 * (
-        np.abs(predictions[:, 0] - dataset.inputs[:, 1])
-        + np.abs(predictions[:, -1] - dataset.inputs[:, 2])
+        np.abs(predictions[:, 0] - dataset.outputs[:, 0])
+        + np.abs(predictions[:, -1] - dataset.outputs[:, -1])
     )
     bc_violation_mean = float(np.mean(bc_gap))
 
@@ -376,7 +373,7 @@ def evaluate(
     for delta in perturbations:
         delta = float(delta)
         deviations = []
-        for axis in range(3):
+        for axis in range(probes.shape[1]):
             for sign in (+1.0, -1.0):
                 nudged = probes.copy()
                 nudged[:, axis] += sign * delta
@@ -491,9 +488,7 @@ def run(cfg: ExperimentConfig) -> SurrogateRun:
     )
 
     probe = dataset.inputs[0]
-    problem = PoissonProblem(
-        g=float(probe[0]), x0=space.x0, x1=space.x1, y0=float(probe[1]), y1=float(probe[2])
-    )
+    problem = PoissonProblem(x0=space.x0, x1=space.x1, **{p: float(v) for p, v in zip(PARAMETERS, probe)})
     ledger = costs.measure(
         t_dg=dataset.generation_time,
         t_nt=train_report.wall_time,
@@ -515,7 +510,7 @@ def run(cfg: ExperimentConfig) -> SurrogateRun:
     if cfg.arch_sweep is not None:
         sweep = architecture_sweep(
             dataset,
-            [(3, *hidden, cfg.n_nodes) for hidden in cfg.arch_sweep],
+            [(layer_sizes[0], *hidden, layer_sizes[-1]) for hidden in cfg.arch_sweep],
             cfg.train,
             trained=(model, train_report),
         )

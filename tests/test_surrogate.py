@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from poissonlab import surrogate
 from poissonlab.ann import MlpModel, TrainConfig, init_mlp
 from poissonlab.errors import ParameterError, ShapeError
-from poissonlab.pde import PoissonProblem, solve_analytic, solve_fdm
+from poissonlab.pde import PARAMETERS, PoissonProblem, fdm_values, solve_analytic, solve_fdm
 from poissonlab.surrogate import (
     ParameterSpace,
     SurrogateModel,
@@ -82,6 +83,28 @@ def test_generate_grid_sampling_matches_analytic():
         )
         exact = solve_analytic(problem, 21).values
         assert np.max(np.abs(row_outputs - exact)) < 1e-10
+    # The solver writes y0 and y1 into the end nodes exactly; the BC gap
+    # of `evaluate` reads them there.
+    npt.assert_array_equal(ds.outputs[:, 0], ds.inputs[:, 1])
+    npt.assert_array_equal(ds.outputs[:, -1], ds.inputs[:, 2])
+
+
+def test_parameter_columns_follow_the_solver_and_the_space():
+    # A parameter row is passed to fdm_values column by column, and the
+    # space's ranges are sampled column by column: all three orders agree.
+    assert PARAMETERS == ("g", "y0", "y1")
+    assert tuple(inspect.signature(fdm_values).parameters)[: len(PARAMETERS)] == PARAMETERS
+    space = ParameterSpace(
+        g_range=(1.0, 1.0),
+        y0_range=(2.0, 2.0),
+        y1_range=(3.0, 3.0),
+        x0=0.0,
+        x1=1.0,
+        sampling="uniform_random",
+        n_samples=1,
+        master_seed=0,
+    )
+    assert space.ranges == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
 
 
 def test_generate_grid_requires_perfect_cube():
@@ -350,6 +373,18 @@ def test_predict_rejects_inputs_that_are_not_rows_of_three(raw):
     # rows of (g, g, g); the width is checked before it.
     with pytest.raises(ShapeError, match="got"):
         untrained_model((3, 11)).predict(raw)
+
+
+def test_model_width_follows_its_offsets_not_a_fixed_three():
+    model = SurrogateModel(
+        mlp=init_mlp((2, 5), seed=4),
+        input_center=np.zeros(2),
+        input_scale=np.ones(2),
+        grid=np.linspace(0.0, 1.0, 5),
+    )
+    assert model.predict(np.ones((7, 2))).shape == (7, 5)
+    with pytest.raises(ShapeError, match="rows of 2 parameters"):
+        model.predict(np.ones((7, 3)))
 
 
 def test_model_input_size_must_be_three():
