@@ -64,6 +64,9 @@ def build_report(run_dir) -> str:
 def _report(run_dir: Path) -> str:
     manifest = load_manifest(run_dir)
     ledger_doc = _optional_json(run_dir, "cost_ledger.json")
+    # A `breakeven` run states a verdict too, from a what-if ledger whose
+    # times are inputs, so it feeds the footer but not Q2.
+    verdict_doc = ledger_doc if ledger_doc is not None else _optional_json(run_dir, "breakeven.json")
     train_doc = _optional_json(run_dir, "train_report.json")
     model_doc = _optional_json(run_dir, "model.json")
     eval_doc = _optional_json(run_dir, "eval_report.json")
@@ -93,7 +96,11 @@ def _report(run_dir: Path) -> str:
     else:
         rows.append(("Q3", "training cost", "not measured"))
 
-    if model_doc is not None:
+    if model_doc is None:
+        arch = "not measured"
+    elif "w" in model_doc:  # a `fit` run's least-squares line
+        arch = f"fitted line: w = {_num(model_doc['w'], '.6g')}, b = {_num(model_doc['b'], '.6g')}"
+    else:
         mlp = model_doc.get("mlp", model_doc)
         arch = f"layers {mlp['layer_sizes']}, transfers {mlp['transfers']}"
         if sweep_doc is not None:
@@ -101,9 +108,7 @@ def _report(run_dir: Path) -> str:
                 f"{row['layer_sizes']} -> rmse {_num(row['rmse_test'], '.4g')}" for row in sweep_doc["rows"]
             )
             arch += f"; sweep: {variants}"
-        rows.append(("Q4", "architecture", arch))
-    else:
-        rows.append(("Q4", "architecture", "not measured"))
+    rows.append(("Q4", "architecture", arch))
 
     if eval_doc is not None:
         train_rmse = eval_doc.get("rmse_train")
@@ -152,7 +157,11 @@ def _report(run_dir: Path) -> str:
                 "not measured" if transfer is None else f"RMSE {_num(transfer, '.6g')} on the 2x finer grid",
             )
         )
-        table = ", ".join(f"delta {d:g} -> max dev {_num(v, '.4g')}" for d, v in eval_doc["sensitivity_table"])
+        if train_doc is not None and train_doc["stop_reason"] == "diverged":
+            # Saturated units of a diverged net can read a sensitivity of 0.
+            table = "invalid (training diverged)"
+        else:
+            table = ", ".join(f"delta {d:g} -> max dev {_num(v, '.4g')}" for d, v in eval_doc["sensitivity_table"])
         rows.append(("Q10", "input sensitivity", table or "not measured"))
     else:
         rows.append(("Q8", "extrapolation error", "not measured"))
@@ -166,18 +175,18 @@ def _report(run_dir: Path) -> str:
 
     if eval_doc is not None:
         lines.append(f"    physics check (BC gap)    : mean {_num(eval_doc['bc_violation_mean'], '.6g')}")
-    if ledger_doc is not None:
+    if verdict_doc is not None:
         lines.append(
-            f"    break-even N              : {ledger_doc['break_even']} "
-            f"(t_pr {_fmt_seconds(ledger_doc['t_pr'])} vs t_solve {_fmt_seconds(ledger_doc['t_solve'])})"
+            f"    break-even N              : {verdict_doc['break_even']} "
+            f"(t_pr {_fmt_seconds(verdict_doc['t_pr'])} vs t_solve {_fmt_seconds(verdict_doc['t_solve'])})"
         )
-        if "break_even_range" in ledger_doc:
-            pessimistic, optimistic = ledger_doc["break_even_range"]
+        if "break_even_range" in verdict_doc:
+            pessimistic, optimistic = verdict_doc["break_even_range"]
             lines.append(
                 f"    break-even N range        : {pessimistic} to {optimistic} "
                 "(timing quartiles, pessimistic first)"
             )
         lines.append(
-            f"    total time at N={ledger_doc['n_predictions']:<9}: {_fmt_seconds(ledger_doc['total_time'])}"
+            f"    total time at N={verdict_doc['n_predictions']:<9}: {_fmt_seconds(verdict_doc['total_time'])}"
         )
     return "\n".join(lines) + "\n"

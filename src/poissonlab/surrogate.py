@@ -132,8 +132,9 @@ def sample_inputs(space: ParameterSpace) -> np.ndarray:
     """
     if space.sampling == "uniform_random":
         return _seeded_draws(space.ranges, space.n_samples, space.master_seed, _BRANCH_GENERATE)
-    per_axis = round(space.n_samples ** (1.0 / 3.0))
-    if per_axis**3 != space.n_samples:
+    width = len(space.ranges)
+    per_axis = round(space.n_samples ** (1.0 / width))
+    if per_axis**width != space.n_samples:
         raise ParameterError(
             f"grid sampling needs a perfect-cube n_samples, got {space.n_samples}"
         )
@@ -172,8 +173,8 @@ def split_dataset(dataset: SurrogateDataset, ratios, seed: int) -> SurrogateData
     those splits empty. The result shares its arrays with `dataset`.
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ParameterError(f"ratios must be three non-negative numbers, got {ratios}")
+    if len(ratios) != len(SPLIT_TAGS) or any(r < 0 for r in ratios):
+        raise ParameterError(f"ratios must be one non-negative number per split {SPLIT_TAGS}, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ParameterError(f"ratios must sum to 1, got {sum(ratios)}")
     n = dataset.n_samples

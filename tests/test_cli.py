@@ -304,6 +304,17 @@ def test_fit_artifacts(tmp_path):
     assert meta["seed"] == 1
 
 
+def test_report_on_fit_run_states_the_fitted_line(tmp_path, capsys):
+    path = write_config(tmp_path, {"regression": REGRESSION})
+    out = tmp_path / "out"
+    assert main(["fit", "--config", str(path), "--out", str(out)]) == 0
+    model = read_json(out / "model.json")
+    capsys.readouterr()
+    assert main(["report", "--run", str(out)]) == 0
+    q4 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q4"))
+    assert q4.endswith(f": fitted line: w = {model['w']:.6g}, b = {model['b']:.6g}")
+
+
 def test_fit_seed_override_changes_dataset(tmp_path):
     path = write_config(tmp_path, {"regression": REGRESSION})
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -419,9 +430,20 @@ def test_machine_descriptor_starts_no_child_process():
     assert "processor" not in proc.stdout
 
 
-def test_public_names_resolve_and_manifest_has_package_version(surrogate_run):
-    for name in poissonlab.__all__:
-        assert hasattr(poissonlab, name), name
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # A fresh interpreter, so nothing the test run imported is cached.
+    code = (
+        "import sys\n"
+        "import poissonlab\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('poissonlab.', 'numpy'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_manifest_has_package_version(surrogate_run):
     manifest = read_json(surrogate_run / "manifest.json")
     assert manifest["tool"]["version"] == poissonlab.__version__
 
@@ -559,6 +581,12 @@ def test_breakeven_command(tmp_path, capsys):
     doc = read_json(tmp_path / "breakeven.json")
     assert doc["break_even"] == 152
     assert doc["total_time"] == pytest.approx(1600.0)
+    assert main(["report", "--run", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "    break-even N              : 152 (t_pr 0.1 s vs t_solve 10 s)\n" in out
+    assert "    total time at N=1000     : 1600 s\n" in out
+    # The what-if ledger's t_dg is an input, not a measurement.
+    assert "Q2  data generation cost      : not measured\n" in out
 
 
 @pytest.mark.parametrize(
@@ -634,3 +662,6 @@ def test_diverged_run_writes_strict_json_and_reports_not_finite(tmp_path, capsys
     assert "x4 -> not finite" in text
     assert "absent (empty split)" not in text
     assert "break-even N              : invalid" in text
+    # The saturated net's sensitivity table reads 0, which must not reach the report.
+    assert read_json(run / "train_report.json")["stop_reason"] == "diverged"
+    assert "Q10 input sensitivity         : invalid (training diverged)\n" in text

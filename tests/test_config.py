@@ -1,7 +1,9 @@
 """Config parsing over the demo configs: every malformed leaf is a clean
-rejection, and --seed replaces exactly the seed keys."""
+rejection, --seed replaces exactly the seed keys, and every demo's run
+renders as the ten-question report."""
 
 import copy
+import importlib.util
 import json
 from pathlib import Path
 
@@ -11,16 +13,14 @@ from poissonlab.cli import main
 from poissonlab.config import override_seeds, parse_config
 from poissonlab.errors import ConfigError
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
-# The command a demo config runs, from the first of these sections it holds.
-COMMAND_BY_SECTION = (
-    ("space", "surrogate"),
-    ("ann", "train-ann"),
-    ("regression", "fit"),
-    ("ledger", "breakeven"),
-    ("problems", "solve"),
-)
+# The command a config runs comes from the digest script's one table.
+_spec = importlib.util.spec_from_file_location("artifact_digests", ROOT / "scripts" / "artifact_digests.py")
+artifact_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_digests)
+command_for = artifact_digests.command_for
 
 # Every leaf of every demo config is replaced by each of these in turn.
 # 1e309 must reach the parser as that literal (json.loads reads it as inf).
@@ -56,7 +56,7 @@ def replaced(doc, path, value) -> str:
 @pytest.mark.parametrize("config", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_every_leaf_mutation_is_a_clean_exit(config, tmp_path, capsys):
     doc = json.loads(config.read_text())
-    command = next(c for section, c in COMMAND_BY_SECTION if section in doc)
+    command = command_for(doc)
     path = tmp_path / "config.json"
     for leaf in leaves(doc):
         for value in REPLACEMENTS:
@@ -73,6 +73,16 @@ def test_every_leaf_mutation_is_a_clean_exit(config, tmp_path, capsys):
             code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
             assert code in (0, 2, 3, 4), case
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_every_demo_run_reports_ten_rows(config, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main([command_for(json.loads(config.read_text())), "--config", str(config), "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--run", str(run)]) == 0
+    q_rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("Q")]
+    assert [row.split()[0] for row in q_rows] == [f"Q{i}" for i in range(1, 11)]
 
 
 def test_seed_override_replaces_exactly_the_seed_keys():
