@@ -7,12 +7,11 @@ backward recursion layer by layer. Divergence is a recorded training
 outcome, not an exception: steepest descent is only stable for small
 enough learning rates and the lab measures that boundary.
 
-Two engines: `_forward`, the forward pass of `predict_batch` and
-`loss_sse`, and `_Epoch`, the flat-parameter forward and backward pass
-of training, `gradients` and `check_gradients`. Both run on each layer's
-forward step, `(w.T, b, transfer.apply)`, which `MlpModel` resolves once
-when it is built; the steps are views, so weights and biases change only
-in place.
+One forward function, `_forward`, serves prediction, the loss and
+`_Epoch`, the epoch that training, `gradients` and `check_gradients` run.
+It runs layer steps `(w.T, b, transfer.apply, out)`. `MlpModel` resolves
+its own once, as views, so weights and biases change only in place, with
+`out` None; the epoch passes its own buffers as `out`.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class MlpModel:
 
     weights[k] has shape (layer_sizes[k+1], layer_sizes[k]) and biases[k]
     has shape (layer_sizes[k+1],). Each layer's forward step
-    `(weights[k].T, biases[k], transfer.apply)` is resolved once, here,
+    `(weights[k].T, biases[k], transfer.apply, None)` is resolved once, here,
     and holds views of those arrays. `weights` and `biases` are tuples,
     so an entry changes only in place (as training's `theta -= grad`
     does), and the steps always see the current values.
@@ -96,7 +95,7 @@ class MlpModel:
                 raise ShapeError(f"layer {k} bias must be ({self.layer_sizes[k+1]},)")
         # Resolved once here, so a forward pass pays only for its arithmetic.
         self._layers = tuple(
-            (w.T, b, resolve_transfer(tag).apply)
+            (w.T, b, resolve_transfer(tag).apply, None)
             for w, b, tag in zip(self.weights, self.biases, self.transfers)
         )
 
@@ -204,25 +203,24 @@ def predict_batch(model: MlpModel, inputs) -> np.ndarray:
     One 1-D row goes through the layers as a vector and comes back as
     (1, n_out).
     """
-    out = _forward(model, _as_rows(inputs, model.layer_sizes[0], "inputs"))
+    out = _forward(model._layers, _as_rows(inputs, model.layer_sizes[0], "inputs"))
     return out if out.ndim == 2 else out[None, :]
 
 
-def _forward(model: MlpModel, a: np.ndarray) -> np.ndarray:
+def _forward(layers: tuple, a: np.ndarray) -> np.ndarray:
     """The output for one row (n_in,) or rows (n, n_in), as a 1-D or 2-D
-    array: one new array per layer, biased and transferred in place, by
-    the layer steps the model resolved when it was built.
+    array, by layer steps `(w.T, b, apply, out)`: each layer's product
+    is written into `out`, a new array when `out` is None, and biased
+    and transferred in place.
 
     A 1-D row takes each layer's product through `np.dot` and rows
-    through `np.matmul`. Both reach the same BLAS routine, so the bits
-    are the same, but `np.dot` skips 0.3-0.6 µs of matmul's dispatch per
-    layer on a vector, while on a large batch it is slower:
-    (1024, 8) @ (8, 101) took 120 µs against matmul's 68 µs (2-core
-    Linux, numpy 2.4.6, one OpenBLAS thread).
+    through `np.matmul`: the same BLAS routine and bits, but `np.dot`
+    skips 0.3-0.6 µs of dispatch per layer on a vector and is slower on
+    a large batch (see README §3).
     """
     product = np.dot if a.ndim == 1 else np.matmul
-    for wt, b, apply in model._layers:
-        z = product(a, wt)
+    for wt, b, apply, out in layers:
+        z = product(a, wt, out)
         z += b
         a = apply(z)
     return a
@@ -240,7 +238,7 @@ def _as_pair(model: MlpModel, inputs, targets) -> tuple:
 def loss_sse(model: MlpModel, inputs, targets) -> float:
     """Sum of squared errors over all samples and output components."""
     x, y = _as_pair(model, inputs, targets)
-    e = y - _forward(model, x)
+    e = y - _forward(model._layers, x)
     return float((e * e).sum())
 
 
@@ -280,13 +278,13 @@ class _Epoch:
     allocated here. Every input, output, residual and delta is then a
     fixed array, and every `w.T` (taken from the model's layer steps)
     and `delta.T` a fixed view of one, so the whole epoch is a tuple of
-    `(numpy function, arguments)` steps, built here and run unchanged by
-    every `run()`: each layer's `matmul`, bias add and
-    `TransferFunction.apply`, the residual, and the backward pass
-    through each layer's `TransferFunction.derivative`,
-    and the loss. Both transfer calls write in place (see
-    `TransferFunction`), so f' lies in the buffer the plan handed over.
-    A purelin layer gets no derivative step and no multiply.
+    `(function, arguments)` steps, built here and run unchanged by every
+    `run()`: one `_forward` call on the model's layer steps with the
+    output buffers as their `out`, the residual, the backward pass
+    through each layer's `TransferFunction.derivative`, and the loss.
+    Both transfer calls write in place (see `TransferFunction`), so f'
+    lies in the buffer the plan handed over. A purelin layer gets no
+    derivative step and no multiply.
 
     The residual e = y - a_L overwrites a purelin output, which nothing
     reads afterwards; a tanh output layer keeps a residual buffer of its
@@ -325,10 +323,8 @@ class _Epoch:
         activations = [x, *outputs]
         residual = outputs[-1] if derivatives[-1] is None else np.empty((rows, sizes[-1]))
 
-        steps = []
-        for (wt, b, apply), a, out in zip(self.model._layers, activations, outputs):
-            steps += [(np.matmul, (a, wt, out)), (np.add, (out, b, out)), (apply, (out,))]
-        steps.append((np.subtract, (y, outputs[-1], residual)))
+        layers = tuple((wt, b, apply, out) for (wt, b, apply, _), out in zip(self.model._layers, outputs))
+        steps = [(_forward, (layers, x)), (np.subtract, (y, outputs[-1], residual))]
         delta = residual
         for k in reversed(range(len(params))):
             derivative = derivatives[k]

@@ -26,7 +26,7 @@ from .ann import TRANSFERS, TrainConfig
 from .costs import CostLedger
 from .errors import ConfigError, ParameterError
 from .pde import DEFAULT_N_NODES, PARAMETERS, PoissonProblem
-from .surrogate import SAMPLINGS, ParameterSpace
+from .surrogate import SAMPLINGS, SPLIT_TAGS, ParameterSpace, check_split_ratios
 
 
 def _check_keys(obj, path: str, known, required) -> None:
@@ -153,6 +153,9 @@ class SplitSpec:
     ratios: tuple
     seed: int
 
+    def __post_init__(self):
+        check_split_ratios(self.ratios)
+
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -201,7 +204,7 @@ _problem = _Section(PoissonProblem, g=_number, x0=_number, x1=_number, y0=_numbe
 SECTIONS = {
     "problem": ("problems", lambda value, path: (_problem(value, path),)),
     "problems": ("problems", _list_of(_problem, min_len=1)),
-    "n_nodes": ("n_nodes", _at_least(2)),
+    "n_nodes": ("n_nodes", _at_least(3)),
     "regression": ("regression", _Section(
         RegressionSpec, n=_at_least(2), true_w=_number, true_b=_number, x_range=_interval,
         noise_amplitude=_number, seed=_seed)),
@@ -212,9 +215,10 @@ SECTIONS = {
         TrainConfig, learning_rate=_number, stop_tolerance=_number, max_epochs=_integer,
         init_seed=_seed, init_scheme=_one_of("uniform", "zeros"))),
     "space": ("space", _Section(
-        ParameterSpace, g_range=_interval, y0_range=_interval, y1_range=_interval, x0=_number,
+        ParameterSpace, **{f"{p}_range": _interval for p in PARAMETERS}, x0=_number,
         x1=_number, sampling=_one_of(*SAMPLINGS), n_samples=_integer, master_seed=_seed)),
-    "split": ("split", _Section(SplitSpec, ratios=_list_of(_number, 3, 3), seed=_seed)),
+    "split": ("split", _Section(
+        SplitSpec, ratios=_list_of(_number, len(SPLIT_TAGS), len(SPLIT_TAGS)), seed=_seed)),
     "arch": ("arch", _Section(
         ArchSpec, hidden=_list_of(_width), hidden_transfer=_transfer, output_transfer=_transfer)),
     "arch_sweep": ("arch_sweep", _list_of(_list_of(_width), min_len=1)),

@@ -151,29 +151,21 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     Intended for diagonally dominant systems (the finite-difference
     Laplacian qualifies); a vanishing pivot raises SingularMatrixError.
     The elimination depends on the matrix alone and is cached, so
-    repeated solves with one matrix pay only for the substitution. An
-    (n, batch) rhs is swept a whole row per step, so each column gets
-    exactly the operations of its own vector solve.
+    repeated solves with one matrix pay only for the substitution. One
+    loop serves one rhs and a batch, a row at a time: a Python float for
+    an (n,) rhs, where numpy indexing would cost more than the
+    arithmetic, and a numpy row for an (n, batch) rhs, so each column
+    gets exactly the operations of its own vector solve.
     """
     sub, pivots, ratios = _eliminate(system.sub.tobytes(), system.diag.tobytes(), system.sup.tobytes())
     rhs = system.rhs
-    if rhs.ndim == 1:
-        # Python floats: per-element numpy indexing would cost more than the arithmetic.
-        values = rhs.tolist()
-        prev = values[0] / pivots[0]
-        work = [prev]
-        for r, s, pivot in zip(values[1:], sub, pivots[1:]):
-            prev = (r - s * prev) / pivot
-            work.append(prev)
-        # Back substitution in place: the last row already holds u.
-        for i in reversed(range(len(ratios))):
-            prev = work[i] = work[i] - ratios[i] * prev
-        return np.fromiter(work, float, len(work))
-
-    work = np.empty_like(rhs)
-    work[0] = rhs[0] / pivots[0]
-    for i in range(1, system.n):
-        work[i] = (rhs[i] - sub[i - 1] * work[i - 1]) / pivots[i]
-    for i in reversed(range(system.n - 1)):
-        work[i] = work[i] - ratios[i] * work[i + 1]
-    return work
+    rows = rhs.tolist() if rhs.ndim == 1 else list(rhs)
+    prev = rows[0] / pivots[0]
+    work = [prev]
+    for r, s, pivot in zip(rows[1:], sub, pivots[1:]):
+        prev = (r - s * prev) / pivot
+        work.append(prev)
+    # Back substitution in place: the last row already holds u.
+    for i in reversed(range(len(ratios))):
+        prev = work[i] = work[i] - ratios[i] * prev
+    return np.fromiter(work, float, len(work)) if rhs.ndim == 1 else np.array(work)

@@ -166,17 +166,23 @@ def generate_dataset(space: ParameterSpace, n_nodes: int) -> SurrogateDataset:
     )
 
 
+def check_split_ratios(ratios) -> tuple:
+    """ratios as floats; ParameterError unless one non-negative number per split, summing to 1."""
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != len(SPLIT_TAGS) or any(r < 0 for r in ratios):
+        raise ParameterError(f"ratios must be one non-negative number per split {SPLIT_TAGS}, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ParameterError(f"ratios must sum to 1, got {sum(ratios)}")
+    return ratios
+
+
 def split_dataset(dataset: SurrogateDataset, ratios, seed: int) -> SurrogateDataset:
     """Assign train/val/test tags by seeded permutation and contiguous ratios.
 
     Rounding residue goes to train; zero val or test ratios simply leave
     those splits empty. The result shares its arrays with `dataset`.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != len(SPLIT_TAGS) or any(r < 0 for r in ratios):
-        raise ParameterError(f"ratios must be one non-negative number per split {SPLIT_TAGS}, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ParameterError(f"ratios must sum to 1, got {sum(ratios)}")
+    ratios = check_split_ratios(ratios)
     n = dataset.n_samples
     n_val = int(n * ratios[1])
     n_test = int(n * ratios[2])

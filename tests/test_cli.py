@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -244,13 +245,19 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
         ("fit", "configs/fit_demo.json", "regression", "n", 1, "regression.n: must be >= 2"),
         ("surrogate", "configs/surrogate_minimal.json", "eval", "multipliers", [1.0, -1.0],
          "eval.multipliers[1]: must be > 0"),
+        ("surrogate", "configs/surrogate_minimal.json", None, "n_nodes", 2, "n_nodes: must be >= 3"),
+        ("surrogate", "configs/surrogate_minimal.json", "split", "ratios", [0.5, 0.5, 0.5],
+         "split: ratios must sum to 1"),
+        ("surrogate", "configs/surrogate_minimal.json", "split", "ratios", [1.2, -0.1, -0.1],
+         "split: ratios must be one non-negative number per split"),
     ],
     ids=["n_fresh-0", "repetitions-0", "n_predictions-negative", "curve-size-0", "regression-n-1",
-         "multiplier-negative"],
+         "multiplier-negative", "n_nodes-2", "ratios-sum", "ratios-negative"],
 )
 def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, section, key, value, message):
     doc = json.loads(Path(source).read_text())
-    doc[section][key] = value
+    # section None sets a top-level key.
+    (doc if section is None else doc[section])[key] = value
     out = tmp_path / "out"
     assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -520,6 +527,18 @@ def test_surrogate_json_format_skips_curve_csvs(tmp_path):
     manifest = read_json(run / "manifest.json")
     listed = {entry["name"] for entry in manifest["files"]}
     assert listed == {p.name for p in run.iterdir()} - {"manifest.json"}
+
+
+def test_report_names_the_data_curve_file_a_json_run_wrote(tmp_path, capsys):
+    doc = dict(SURROGATE_DOC, data_curve={"sizes": [8, 16], "seeds": [0]})
+    path = write_config(tmp_path, doc)
+    run = tmp_path / "run"
+    assert main(["surrogate", "--config", str(path), "--out", str(run), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--run", str(run)]) == 0
+    q7 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q7"))
+    named = re.findall(r"data_curve\.\w+", q7)
+    assert named and all((run / name).exists() for name in named)
 
 
 def test_surrogate_tanh_demo_config_runs(tmp_path):

@@ -121,14 +121,15 @@ def reference_thomas(sub, diag, sup, rhs):
     return work
 
 
+@pytest.mark.parametrize("width", [0, 1, 5])
 @pytest.mark.parametrize("n", [1, 2, 7, 99])
-def test_tridiagonal_matrix_rhs_equals_column_solves(n):
+def test_tridiagonal_matrix_rhs_equals_column_solves(n, width):
     rng = np.random.default_rng(n)
     sub, diag, sup = dominant_system_diagonals(rng, n)
-    rhs = rng.uniform(-10.0, 10.0, size=(n, 5))
+    rhs = rng.uniform(-10.0, 10.0, size=(n, width))
     batch = solve_tridiagonal(TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
-    assert batch.shape == (n, 5)
-    for k in range(5):
+    assert batch.shape == (n, width)
+    for k in range(width):
         column = solve_tridiagonal(TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs[:, k]))
         npt.assert_array_equal(batch[:, k], column)
         reference = reference_thomas(*(a.tolist() for a in (sub, diag, sup, rhs[:, k])))
