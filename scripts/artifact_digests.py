@@ -4,8 +4,10 @@ Runs every `configs/*.json` plus `perfbench/wide_datagen.json` through
 `poissonlab` into a temporary directory and prints one JSON object that
 maps each config to the SHA-256 of every file its manifest flags
 deterministic, plus a SHA-256 of the training loss history when the run
-trains a network (`train_report.json` itself holds wall times) and of
-the architecture sweep's rows without their wall times.
+trains a network (`train_report.json` itself holds wall times), of
+the architecture sweep's rows without their wall times, and of the
+candidate table's rows without their ledgers (timings and the verdicts
+that follow from them).
 
 For each surrogate run it also digests the saved model's predictions
 on a fixed seeded block of 64 parameter rows drawn from the config's
@@ -117,6 +119,10 @@ def digest_run(config_path: Path, out_dir: Path) -> dict:
     if sweep.exists():
         rows = json.loads(sweep.read_text(encoding="utf-8"))["rows"]
         run["arch_sweep"] = sha256_json([{k: v for k, v in row.items() if k != "wall_time"} for row in rows])
+    candidates = out_dir / "candidates.json"
+    if candidates.exists():
+        rows = json.loads(candidates.read_text(encoding="utf-8"))["rows"]
+        run["candidates"] = sha256_json([{k: v for k, v in row.items() if k != "ledger"} for row in rows])
     if command == "surrogate":
         run.update(digest_predictions(config, out_dir / "model.json"))
     return run

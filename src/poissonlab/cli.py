@@ -165,7 +165,8 @@ def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
 
 def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     run = surrogate.run(cfg)
-    dataset, eval_report, verdict = run.dataset, run.eval_report, run.ledger
+    dataset, first = run.dataset, run.candidates[0]
+    eval_report, verdict = first.eval_report, first.ledger
 
     out = _Artifacts(out_dir)
     out.csv(
@@ -185,7 +186,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
             "split_counts": {tag: int(dataset.rows_for(tag).size) for tag in surrogate.SPLIT_TAGS},
         },
     )
-    out.training(run.model, run.train_report, formats)
+    out.training(first.model, first.train_report, formats)
     out.json("eval_report.json", eval_report)
     if "csv" in formats:
         out.csv("extrapolation.csv", ("range_multiplier", "rmse"), eval_report.extrapolation_curve)
@@ -205,13 +206,21 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
         if "csv" in formats:
             out.csv("data_curve.csv", ("n_samples", "seed", "rmse_test"), rows)
 
-    if run.arch_sweep is not None:
-        keys = ("layer_sizes", "rmse_test", "epochs_run", "wall_time")
-        out.json(
-            "arch_sweep.json",
-            {"rows": [dict(zip(keys, row)) for row in run.arch_sweep]},
-            deterministic=False,
-        )
+    rows = [
+        {"layer_sizes": c.model.mlp.layer_sizes, "transfers": c.model.mlp.transfers,
+         "epochs_run": c.train_report.epochs_run, "stop_reason": c.train_report.stop_reason,
+         "eval_report": c.eval_report, "ledger": c.ledger}
+        for c in run.candidates
+    ]
+    out.json("candidates.json", {"rows": rows}, deterministic=False)
+    if cfg.arch_sweep is not None:  # written beside candidates.json for one more release
+        by_layout = {(c.model.mlp.layer_sizes, c.model.mlp.transfers): c for c in run.candidates}
+        rows = [
+            {"layer_sizes": c.model.mlp.layer_sizes, "rmse_test": surrogate.probe_rmse(c.model, dataset),
+             "epochs_run": c.train_report.epochs_run, "wall_time": c.train_report.wall_time}
+            for c in map(by_layout.get, surrogate.sweep_layouts(cfg))
+        ]
+        out.json("arch_sweep.json", {"rows": rows}, deterministic=False)
 
     out.json("cost_ledger.json", verdict, deterministic=False)
     out.manifest(

@@ -159,27 +159,27 @@ def measure(
     solves fall from about 150 to 50 µs, so without the warm-up a median
     of five would sit on that slope.
     """
-    if repetitions < 1:
-        raise ParameterError("repetitions must be >= 1")
+    untimed = CostLedger(t_dg=float(t_dg), t_nt=0.0, t_pr=0.0, t_solve=0.0, n_predictions=int(n_predictions),
+                         repetitions=int(repetitions))
+    ledger = reprice(untimed, t_nt, predict_once)
+    cold_solve, solve_samples = _timed(solve_once, ledger.repetitions)
+    t_solve = _quantile(solve_samples, 0.5)
+    return replace(ledger, t_solve=t_solve, solve_samples=solve_samples, cold_solve=cold_solve)
 
-    def clock(fn) -> float:
+
+def reprice(ledger: CostLedger, t_nt: float, predict_once) -> CostLedger:
+    """`ledger` for another model of the same run: its training time, and its
+    prediction timed as `measure` times one. t_dg and the solve's timings stay."""
+    cold_prediction, pr_samples = _timed(predict_once, ledger.repetitions)
+    t_pr = _quantile(pr_samples, 0.5)
+    return replace(ledger, t_nt=float(t_nt), t_pr=t_pr, pr_samples=pr_samples, cold_prediction=cold_prediction)
+
+
+def _timed(fn, repetitions: int) -> tuple:
+    """(seconds of one cold call, seconds of each of `repetitions` calls after it)."""
+    def clock() -> float:
         started = time.perf_counter()
         fn()
         return time.perf_counter() - started
 
-    cold_prediction = clock(predict_once)
-    pr_samples = tuple(clock(predict_once) for _ in range(repetitions))
-    cold_solve = clock(solve_once)
-    solve_samples = tuple(clock(solve_once) for _ in range(repetitions))
-    return CostLedger(
-        t_dg=float(t_dg),
-        t_nt=float(t_nt),
-        t_pr=_quantile(pr_samples, 0.5),
-        t_solve=_quantile(solve_samples, 0.5),
-        n_predictions=int(n_predictions),
-        repetitions=int(repetitions),
-        pr_samples=pr_samples,
-        solve_samples=solve_samples,
-        cold_prediction=cold_prediction,
-        cold_solve=cold_solve,
-    )
+    return clock(), tuple(clock() for _ in range(repetitions))

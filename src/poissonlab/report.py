@@ -36,6 +36,17 @@ def _optional_json(run_dir: Path, name: str):
     return read_run_file(path) if path.exists() else None
 
 
+def _candidate_text(row: dict) -> str:
+    scores, price = row["eval_report"], row["ledger"]
+    multiplier, rmse = max(scores["extrapolation_curve"])
+    return (
+        f"{row['layer_sizes']} {'/'.join(row['transfers'])} -> test RMSE {_fmt_rmse(scores['rmse_test'])}, "
+        f"x{multiplier:g} RMSE {_num(rmse, '.4g')}, BC gap {_num(scores['bc_violation_mean'], '.4g')}, "
+        f"t_nt {_fmt_seconds(price['t_nt'])}, t_pr {_fmt_seconds(price['t_pr'])}, "
+        f"break-even N {price['break_even']}"
+    )
+
+
 def _machine_line(manifest: dict) -> str:
     m = manifest.get("machine", {})
     parts = [
@@ -71,7 +82,7 @@ def _report(run_dir: Path) -> str:
     model_doc = _optional_json(run_dir, "model.json")
     eval_doc = _optional_json(run_dir, "eval_report.json")
     curve_doc = _optional_json(run_dir, "data_curve.json")
-    sweep_doc = _optional_json(run_dir, "arch_sweep.json")
+    candidates_doc = _optional_json(run_dir, "candidates.json")
     config = manifest.get("config", {})
 
     rows: list[tuple[str, str, str]] = []
@@ -86,13 +97,8 @@ def _report(run_dir: Path) -> str:
         rows.append(("Q2", "data generation cost", "not measured"))
 
     if train_doc is not None:
-        rows.append(
-            (
-                "Q3",
-                "training cost",
-                f"T_nt = {_fmt_seconds(train_doc['wall_time'])} ({train_doc['epochs_run']} epochs)",
-            )
-        )
+        t_nt = _fmt_seconds(train_doc["wall_time"])
+        rows.append(("Q3", "training cost", f"T_nt = {t_nt} ({train_doc['epochs_run']} epochs)"))
     else:
         rows.append(("Q3", "training cost", "not measured"))
 
@@ -103,11 +109,8 @@ def _report(run_dir: Path) -> str:
     else:
         mlp = model_doc.get("mlp", model_doc)
         arch = f"layers {mlp['layer_sizes']}, transfers {mlp['transfers']}"
-        if sweep_doc is not None:
-            variants = ", ".join(
-                f"{row['layer_sizes']} -> rmse {_num(row['rmse_test'], '.4g')}" for row in sweep_doc["rows"]
-            )
-            arch += f"; sweep: {variants}"
+        if candidates_doc is not None:
+            arch += "; sweep: " + "; ".join(map(_candidate_text, candidates_doc["rows"]))
     rows.append(("Q4", "architecture", arch))
 
     if eval_doc is not None:
@@ -135,14 +138,11 @@ def _report(run_dir: Path) -> str:
         points = ", ".join(f"n={r['n_samples']} -> {_num(r['rmse_test'], '.4g')}" for r in curve_doc["seed_means"])
         rows.append(("Q7", "data requirement curve", f"{points} (per-seed rows in data_curve.json)"))
     elif eval_doc is not None and config.get("space") is not None:
-        rows.append(
-            (
-                "Q7",
-                "data requirement curve",
-                f"single point: test RMSE {_fmt_rmse(eval_doc.get('rmse_test'))} at "
-                f"n={config['space'].get('n_samples')} (sweep not measured)",
-            )
-        )
+        rows.append((
+            "Q7", "data requirement curve",
+            f"single point: test RMSE {_fmt_rmse(eval_doc.get('rmse_test'))} at "
+            f"n={config['space'].get('n_samples')} (sweep not measured)",
+        ))
     else:
         rows.append(("Q7", "data requirement curve", "not measured"))
 

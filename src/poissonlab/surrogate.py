@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -311,7 +312,8 @@ def _rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
         return float(np.sqrt(np.mean(diff * diff)))
 
 
-def _probe_rmse(model: SurrogateModel, dataset: SurrogateDataset) -> float:
+def probe_rmse(model: SurrogateModel, dataset: SurrogateDataset) -> float:
+    """RMSE over the probe rows, which are every row when the test split is empty."""
     rows = dataset.probe_rows()
     return _rmse(model.predict(dataset.inputs[rows]), dataset.outputs[rows])
 
@@ -327,6 +329,22 @@ def scaled_space(space: ParameterSpace, multiplier: float) -> ParameterSpace:
     return replace(space, **{f"{p}_range": scale(r) for p, r in zip(PARAMETERS, space.ranges)})
 
 
+def eval_reference(dataset: SurrogateDataset, space: ParameterSpace, extrap_multipliers, n_fresh=32, seed=0):
+    """The solves `evaluate` compares a model with: one (multiplier, rows, solves)
+    per multiplier, the probe rows, and their solves on the 2x finer grid.
+    They do not depend on the model, so a run solves them once."""
+    if n_fresh < 1:
+        raise ParameterError(f"n_fresh must be >= 1, got {n_fresh}")
+    n_nodes = dataset.grid.shape[0]
+    fresh = []
+    for m_index, multiplier in enumerate(extrap_multipliers):
+        wider = scaled_space(space, float(multiplier))
+        draws = _seeded_draws(wider.ranges, n_fresh, seed, _BRANCH_EVAL, m_index)
+        fresh.append((float(multiplier), draws, fdm_values(*draws.T, wider.x0, wider.x1, n_nodes)))
+    probes = dataset.inputs[dataset.probe_rows()]
+    return fresh, probes, fdm_values(*probes.T, space.x0, space.x1, 2 * (n_nodes - 1) + 1)
+
+
 def evaluate(
     model: SurrogateModel,
     dataset: SurrogateDataset,
@@ -335,6 +353,7 @@ def evaluate(
     perturbations,
     n_fresh: int = 32,
     seed: int = 0,
+    reference: tuple | None = None,
 ) -> EvalReport:
     """Score a trained surrogate against fresh solver runs.
 
@@ -346,34 +365,26 @@ def evaluate(
     makes the entry NaN rather than hiding it. Discretization transfer:
     predictions are linearly resampled onto a 2x finer grid and compared
     with one batched sweep on that grid. Probe rows are the test split,
-    or every row when the test split is empty.
+    or every row when the test split is empty. `reference`, when given,
+    is `eval_reference` of the same dataset, space, multipliers, n_fresh
+    and seed, so several models share its solves.
     """
-    if n_fresh < 1:
-        raise ParameterError(f"n_fresh must be >= 1, got {n_fresh}")
-    n_nodes = dataset.grid.shape[0]
+    fresh, probes, fine_truth = reference or eval_reference(dataset, space, extrap_multipliers, n_fresh, seed)
     predictions = model.predict(dataset.inputs)
 
+    # One array of squared errors serves every split, so less is held above the reference solves.
     split_rmse = {}
-    for tag in SPLIT_TAGS:
-        rows = dataset.rows_for(tag)
-        split_rmse[tag] = (
-            _rmse(predictions[rows], dataset.outputs[rows]) if rows.size else None
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _rmse
+        squares = predictions - dataset.outputs
+        squares *= squares
+        for tag in SPLIT_TAGS:
+            rows = dataset.rows_for(tag)
+            split_rmse[tag] = float(np.sqrt(np.mean(squares[rows]))) if rows.size else None
 
-    bc_gap = 0.5 * (
-        np.abs(predictions[:, 0] - dataset.outputs[:, 0])
-        + np.abs(predictions[:, -1] - dataset.outputs[:, -1])
-    )
-    bc_violation_mean = float(np.mean(bc_gap))
+    ends = np.abs(predictions[:, [0, -1]] - dataset.outputs[:, [0, -1]])
+    bc_violation_mean = float(np.mean(0.5 * (ends[:, 0] + ends[:, 1])))
 
-    curve = []
-    for m_index, multiplier in enumerate(extrap_multipliers):
-        wider = scaled_space(space, float(multiplier))
-        fresh = _seeded_draws(wider.ranges, n_fresh, seed, _BRANCH_EVAL, m_index)
-        truth = fdm_values(*fresh.T, wider.x0, wider.x1, n_nodes)
-        curve.append((float(multiplier), _rmse(model.predict(fresh), truth)))
-
-    probes = dataset.inputs[dataset.probe_rows()]
+    curve = [(multiplier, _rmse(model.predict(draws), truth)) for multiplier, draws, truth in fresh]
     base = model.predict(probes)
 
     sensitivity = []
@@ -389,20 +400,14 @@ def evaluate(
         # np.max, unlike the builtin max, propagates NaN.
         sensitivity.append((delta, float(np.max(deviations))))
 
-    fine_nodes = 2 * (n_nodes - 1) + 1
-    fine_grid = np.linspace(space.x0, space.x1, fine_nodes)
-    fine_truth = fdm_values(*probes.T, space.x0, space.x1, fine_nodes)
+    fine_grid = np.linspace(space.x0, space.x1, fine_truth.shape[1])
     fine_pred = np.vstack([np.interp(fine_grid, dataset.grid, row) for row in base])
     transfer = _rmse(fine_pred, fine_truth)
 
     return EvalReport(
-        rmse_train=split_rmse["train"],
-        rmse_val=split_rmse["val"],
-        rmse_test=split_rmse["test"],
-        extrapolation_curve=curve,
-        sensitivity_table=sensitivity,
-        discretization_transfer=transfer,
-        bc_violation_mean=bc_violation_mean,
+        rmse_train=split_rmse["train"], rmse_val=split_rmse["val"], rmse_test=split_rmse["test"],
+        extrapolation_curve=curve, sensitivity_table=sensitivity,
+        discretization_transfer=transfer, bc_violation_mean=bc_violation_mean,
     )
 
 
@@ -429,96 +434,82 @@ def data_requirement_curve(
             dataset = generate_dataset(sub_space, n_nodes)
             dataset = split_dataset(dataset, ratios, seed=int(seed))
             model, _ = train_surrogate(dataset, layer_sizes, cfg, transfers=transfers)
-            rows.append((int(size), int(seed), _probe_rmse(model, dataset)))
+            rows.append((int(size), int(seed), probe_rmse(model, dataset)))
     return rows
 
 
-def architecture_sweep(dataset: SurrogateDataset, archs, cfg: ann.TrainConfig, trained=None) -> list:
-    """Train one model per layer layout; rows are (layout, test rmse, epochs, seconds).
+def architecture_sweep(dataset: SurrogateDataset, layouts, cfg: ann.TrainConfig) -> list:
+    """Train one model per (layer sizes, transfers) layout; a list of (SurrogateModel, TrainReport)."""
+    return [train_surrogate(dataset, layer_sizes, cfg, transfers) for layer_sizes, transfers in layouts]
 
-    Every layout trains with the default transfers. `trained` may be the
-    (SurrogateModel, TrainReport) that train_surrogate returned for this
-    dataset and cfg; a layout whose sizes and default transfers equal that
-    model's would retrain it bit for bit, so its row reuses it, seconds
-    included.
-    """
-    reusable = None
-    if trained is not None:
-        mlp = trained[0].mlp
-        if mlp.transfers == ann.default_transfers(mlp.layer_sizes):
-            reusable = mlp.layer_sizes
-    rows = []
-    for layer_sizes in archs:
-        layer_sizes = tuple(int(s) for s in layer_sizes)
-        if layer_sizes == reusable:
-            model, report = trained
-        else:
-            model, report = train_surrogate(dataset, layer_sizes, cfg)
-        rows.append((list(layer_sizes), _probe_rmse(model, dataset), report.epochs_run, report.wall_time))
-    return rows
+
+def sweep_layouts(cfg: ExperimentConfig) -> list:
+    """(layer sizes, default transfers) of each `arch_sweep` entry, in config order."""
+    n_in, *_, n_out = cfg.arch.layer_sizes(cfg.n_nodes)
+    return [((n_in, *h, n_out), ann.default_transfers((n_in, *h, n_out))) for h in cfg.arch_sweep or ()]
+
+
+@dataclass
+class Candidate:
+    """One model of a run, evaluated and priced like every other; `ledger` is a `costs.summary` dict."""
+
+    model: SurrogateModel
+    train_report: ann.TrainReport
+    eval_report: EvalReport
+    ledger: dict
 
 
 @dataclass
 class SurrogateRun:
     """Everything one `poissonlab surrogate` run computes, ready to write.
 
-    `ledger` is the `costs.summary` dict; `data_curve` and `arch_sweep`
-    hold the rows of those stages, or None when the config omits them.
+    `candidates` holds the configured net first, then each `arch_sweep`
+    layout not already among them; `data_curve` holds that stage's rows,
+    or None when the config omits it.
     """
 
     dataset: SurrogateDataset
-    model: SurrogateModel
-    train_report: ann.TrainReport
-    eval_report: EvalReport
-    ledger: dict
+    candidates: tuple
     data_curve: list | None
-    arch_sweep: list | None
 
 
 def run(cfg: ExperimentConfig) -> SurrogateRun:
-    """Generate, split, train, evaluate and price a surrogate; no file I/O.
+    """Generate, split, train, evaluate and price every candidate; no file I/O.
 
-    The ledger times one prediction and one `solve_fdm` of the first
-    sample's problem. The data curve and the architecture sweep, when
-    configured, run after it, so their trainings are not in its timings.
+    Every candidate is trained by `train_surrogate`, scored by `evaluate`
+    against one set of reference solves, and priced on the first
+    sample's problem: `costs.measure` times its `solve_fdm` and the first
+    candidate's prediction, and `costs.reprice` each other candidate's
+    prediction. The data curve runs last, out of the ledgers' timings.
     """
     cfg.require("space", "arch", "train", "split", "eval", "costs")
-    space = cfg.space
+    space, spec = cfg.space, cfg.eval_spec
     dataset = split_dataset(generate_dataset(space, cfg.n_nodes), cfg.split_ratios, seed=cfg.split_seed)
-    layer_sizes = cfg.arch.layer_sizes(cfg.n_nodes)
-    transfers = cfg.arch.transfer_tags()
-    model, train_report = train_surrogate(dataset, layer_sizes, cfg.train, transfers)
-    eval_spec = cfg.eval_spec
-    eval_report = evaluate(
-        model, dataset, space, eval_spec.multipliers, eval_spec.perturbations,
-        n_fresh=eval_spec.n_fresh, seed=eval_spec.seed,
-    )
+    configured = (cfg.arch.layer_sizes(cfg.n_nodes), cfg.arch.transfer_tags())
+    layouts = list(dict.fromkeys([configured, *sweep_layouts(cfg)]))
+    trained = [train_surrogate(dataset, configured[0], cfg.train, configured[1])]
+    trained += architecture_sweep(dataset, layouts[1:], cfg.train)
+    reference = eval_reference(dataset, space, spec.multipliers, spec.n_fresh, spec.seed)
+    evals = [
+        evaluate(model, dataset, space, spec.multipliers, spec.perturbations, reference=reference)
+        for model, _ in trained
+    ]
 
     probe = dataset.inputs[0]
     problem = PoissonProblem(x0=space.x0, x1=space.x1, **{p: float(v) for p, v in zip(PARAMETERS, probe)})
+    (model, report), *others = trained
     ledger = costs.measure(
-        t_dg=dataset.generation_time,
-        t_nt=train_report.wall_time,
-        predict_once=lambda: model.predict(probe),
-        solve_once=lambda: solve_fdm(problem, cfg.n_nodes),
-        n_predictions=cfg.cost_spec.n_predictions,
-        repetitions=cfg.cost_spec.repetitions,
+        dataset.generation_time, report.wall_time, partial(model.predict, probe),
+        lambda: solve_fdm(problem, cfg.n_nodes), cfg.cost_spec.n_predictions, cfg.cost_spec.repetitions,
     )
-    verdict = costs.summary(
-        ledger, diverged=train_report.stop_reason == "diverged", rmse_test=eval_report.rmse_test
+    ledgers = [ledger] + [costs.reprice(ledger, r.wall_time, partial(m.predict, probe)) for m, r in others]
+    candidates = tuple(
+        Candidate(m, r, e, costs.summary(l, diverged=r.stop_reason == "diverged", rmse_test=e.rmse_test))
+        for (m, r), e, l in zip(trained, evals, ledgers)
     )
 
-    curve = sweep = None
-    if cfg.data_curve is not None:
-        curve = data_requirement_curve(
-            space, cfg.n_nodes, cfg.data_curve.sizes, cfg.data_curve.seeds, layer_sizes,
-            cfg.train, ratios=cfg.split_ratios, transfers=transfers,
-        )
-    if cfg.arch_sweep is not None:
-        sweep = architecture_sweep(
-            dataset,
-            [(layer_sizes[0], *hidden, layer_sizes[-1]) for hidden in cfg.arch_sweep],
-            cfg.train,
-            trained=(model, train_report),
-        )
-    return SurrogateRun(dataset, model, train_report, eval_report, verdict, curve, sweep)
+    curve = None if cfg.data_curve is None else data_requirement_curve(
+        space, cfg.n_nodes, cfg.data_curve.sizes, cfg.data_curve.seeds, configured[0],
+        cfg.train, ratios=cfg.split_ratios, transfers=configured[1],
+    )
+    return SurrogateRun(dataset, candidates, curve)

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poissonlab
 from poissonlab import costs, surrogate
@@ -365,7 +370,7 @@ def test_surrogate_run_writes_no_file(tmp_path, monkeypatch):
     run = surrogate.run(parse_config(SURROGATE_DOC))
     assert list(tmp_path.iterdir()) == []
     assert run.dataset.n_samples == SPACE["n_samples"]
-    assert run.data_curve is None and run.arch_sweep is None
+    assert run.data_curve is None and len(run.candidates) == 1
 
 
 # Fields of cost_ledger.json that are timings or follow from them.
@@ -377,8 +382,8 @@ LEDGER_TIMINGS = {
 
 def test_surrogate_run_returns_what_the_cli_writes(surrogate_run, tmp_path):
     run = surrogate.run(parse_config(SURROGATE_DOC))
-    write_json(tmp_path / "eval_report.json", run.eval_report)
-    write_json(tmp_path / "cost_ledger.json", run.ledger)
+    write_json(tmp_path / "eval_report.json", run.candidates[0].eval_report)
+    write_json(tmp_path / "cost_ledger.json", run.candidates[0].ledger)
     assert read_json(tmp_path / "eval_report.json") == read_json(surrogate_run / "eval_report.json")
     returned = read_json(tmp_path / "cost_ledger.json")
     written = read_json(surrogate_run / "cost_ledger.json")
@@ -576,6 +581,20 @@ def test_surrogate_zero_test_ratio_reports_absent(tmp_path):
     assert report["rmse_train"] is not None
 
 
+def test_report_reads_each_candidates_test_rmse_on_an_empty_test_split(tmp_path, capsys):
+    # Every row is a train row; arch_sweep.json's RMSE falls back to them,
+    # but no candidate has a test RMSE, as Q5 and Q7 say too.
+    doc = json.loads(Path("configs/surrogate_tanh.json").read_text())
+    doc["split"]["ratios"] = [1.0, 0.0, 0.0]
+    run = tmp_path / "run"
+    assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(run)]) == 0
+    assert [row["eval_report"]["rmse_test"] for row in read_json(run / "candidates.json")["rows"]] == [None] * 3
+    capsys.readouterr()
+    assert main(["report", "--run", str(run)]) == 0
+    q4 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q4"))
+    assert re.findall(r"test RMSE ([^,]+),", q4) == ["absent (empty split)"] * 3
+
+
 def test_report_on_solve_run_marks_unmeasured_rows(tmp_path, capsys):
     config = write_config(
         tmp_path, {"problem": {"g": 1.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}}
@@ -633,23 +652,39 @@ def test_breakeven_on_huge_ledgers_ends_quickly_and_cleanly(tmp_path, capsys, le
     assert not costs.total_time(l, n - 1) < (n - 1) * l.t_solve
 
 
-@pytest.mark.parametrize("hidden_transfer, trainings", [("tanh", 2), ("purelin", 3)])
+@pytest.mark.parametrize(
+    "hidden_transfer, trainings", [("tanh", 2), ("purelin", 3), pytest.param(None, 3, id="surrogate_tanh-3")]
+)
 def test_surrogate_sweep_trains_each_distinct_network_once(tmp_path, monkeypatch, hidden_transfer, trainings):
     calls = []
     original = surrogate.train_surrogate
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counting(dataset, layer_sizes, cfg, transfers=None):
+        calls.append((tuple(layer_sizes), tuple(transfers)))
+        return original(dataset, layer_sizes, cfg, transfers)
 
     monkeypatch.setattr(surrogate, "train_surrogate", counting)
-    doc = json.loads(json.dumps(SURROGATE_DOC))
-    doc["arch"] = {"hidden": [4], "hidden_transfer": hidden_transfer}
-    doc["arch_sweep"] = [[], [4]]
+    if hidden_transfer is None:  # configs/surrogate_tanh.json: a [3, 8, 101] tanh net, sweep [], [8], [16, 16]
+        doc = json.loads(Path("configs/surrogate_tanh.json").read_text())
+    else:
+        doc = json.loads(json.dumps(SURROGATE_DOC))
+        doc["arch"] = {"hidden": [4], "hidden_transfer": hidden_transfer}
+        doc["arch_sweep"] = [[], [4]]
     doc["train"]["max_epochs"] = 50
-    assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "run")]) == 0
-    # The main model is [3, 4, 21]; with tanh it is the sweep's [4] row as well.
+    run = tmp_path / "run"
+    assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(run)]) == 0
+    # The configured net is trained first. A sweep layout with its sizes and
+    # its transfers is that candidate; with purelin hidden layers the
+    # sweep's tanh layout of the same sizes is trained as a second one.
     assert len(calls) == trainings
+    rows = read_json(run / "candidates.json")["rows"]
+    assert [(tuple(row["layer_sizes"]), tuple(row["transfers"])) for row in rows] == calls
+    assert len(set(calls)) == len(calls)
+    model = read_json(run / "model.json")["mlp"]
+    assert calls[0] == (tuple(model["layer_sizes"]), tuple(model["transfers"]))
+    assert [row["layer_sizes"] for row in read_json(run / "arch_sweep.json")["rows"]] == [
+        [3, *hidden, doc["n_nodes"]] for hidden in doc["arch_sweep"]
+    ]
 
 
 def test_diverged_run_writes_strict_json_and_reports_not_finite(tmp_path, capsys):
@@ -668,7 +703,7 @@ def test_diverged_run_writes_strict_json_and_reports_not_finite(tmp_path, capsys
         raise ValueError(f"non-standard JSON token {token}")
 
     written = sorted(run.glob("*.json"))
-    assert {"eval_report.json", "train_report.json", "arch_sweep.json"} <= {p.name for p in written}
+    assert {"eval_report.json", "train_report.json", "arch_sweep.json", "candidates.json"} <= {p.name for p in written}
     for path in written:
         json.loads(path.read_text(), parse_constant=reject)
     evald = json.loads((run / "eval_report.json").read_text())
@@ -684,3 +719,70 @@ def test_diverged_run_writes_strict_json_and_reports_not_finite(tmp_path, capsys
     # The saturated net's sensitivity table reads 0, which must not reach the report.
     assert read_json(run / "train_report.json")["stop_reason"] == "diverged"
     assert "Q10 input sensitivity         : invalid (training diverged)\n" in text
+    # Every layout diverges too, so no candidate gets a plausible N.
+    rows = read_json(run / "candidates.json")["rows"]
+    assert [row["layer_sizes"] for row in rows] == [[3, 8, 101], [3, 101], [3, 16, 16, 101]]
+    assert all(row["ledger"]["break_even"] == "invalid" and "break_even_range" not in row["ledger"] for row in rows)
+    q4 = next(l for l in text.splitlines() if l.startswith("Q4"))
+    assert re.findall(r"break-even N (\S+)", q4) == ["invalid;", "invalid;", "invalid"]
+
+
+# -- random whole configs ----------------------------------------------
+
+_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+_range = st.tuples(_floats, _floats).map(sorted)
+_hidden = st.lists(st.integers(1, 4), max_size=2)
+
+
+@st.composite
+def surrogate_configs(draw):
+    """Small surrogate configs, valid or not: degenerate splits, huge multipliers and rates."""
+    doc = {
+        "space": {
+            "g_range": draw(_range), "y0_range": draw(_range), "y1_range": draw(_range),
+            "x0": 0.0, "x1": draw(st.sampled_from([1.0, 1e-3])),
+            "sampling": draw(st.sampled_from(["uniform_random"] * 3 + ["grid"])),
+            "n_samples": draw(st.integers(1, 27)), "master_seed": draw(st.integers(0, 9)),
+        },
+        "n_nodes": draw(st.integers(3, 11)),
+        "arch": {
+            "hidden": draw(_hidden),
+            "hidden_transfer": draw(st.sampled_from(["tanh", "purelin"])),
+            "output_transfer": draw(st.sampled_from(["tanh", "purelin"])),
+        },
+        "train": {
+            "learning_rate": draw(st.sampled_from([1e-3, 0.1, 1.0, 1e6])),
+            "stop_tolerance": draw(st.sampled_from([1e-12, 1.0])),
+            "max_epochs": draw(st.integers(1, 20)),
+            "init_seed": draw(st.integers(0, 9)),
+        },
+        "split": {
+            "ratios": draw(st.sampled_from([[1, 0, 0], [0, 1, 0], [0.5, 0, 0.5], [0.5, 0.5, 0], [0.8, 0.1, 0.1]])),
+            "seed": draw(st.integers(0, 9)),
+        },
+        "eval": {
+            "multipliers": draw(st.lists(st.sampled_from([1e-3, 1.0, 4.0, 1e10, 1e300]), min_size=1, max_size=3)),
+            "perturbations": draw(st.lists(st.sampled_from([0.0, 0.01, 1e300]), min_size=1, max_size=2)),
+            "n_fresh": draw(st.integers(1, 4)),
+            "seed": draw(st.integers(0, 9)),
+        },
+        "costs": {"repetitions": draw(st.integers(1, 3)), "n_predictions": draw(st.integers(0, 1000))},
+    }
+    if draw(st.booleans()):
+        doc["arch_sweep"] = draw(st.lists(_hidden, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        doc["data_curve"] = {"sizes": draw(st.lists(st.integers(1, 9), min_size=1, max_size=2)), "seeds": [0]}
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=surrogate_configs())
+def test_random_surrogate_configs_exit_cleanly_and_report(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, run = Path(tmp) / "config.json", Path(tmp) / "run"
+        config.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["surrogate", "--config", str(config), "--out", str(run)])
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                assert main(["report", "--run", str(run)]) == 0

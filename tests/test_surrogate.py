@@ -18,6 +18,7 @@ from poissonlab.surrogate import (
     SurrogateModel,
     architecture_sweep,
     data_requirement_curve,
+    eval_reference,
     evaluate,
     generate_dataset,
     sample_inputs,
@@ -478,6 +479,9 @@ def test_evaluate_deterministic():
     b = evaluate(model, ds, space, (1.5,), (0.1,), n_fresh=8, seed=2)
     assert a.extrapolation_curve == b.extrapolation_curve
     assert a.sensitivity_table == b.sensitivity_table
+    # A run solves the reference once and scores every candidate against it.
+    shared = eval_reference(ds, space, (1.5,), n_fresh=8, seed=2)
+    assert evaluate(model, ds, space, (1.5,), (0.1,), reference=shared) == a
 
 
 # -- sweeps ------------------------------------------------------------
@@ -501,34 +505,10 @@ def test_data_curve_rmse_non_increasing_on_seed_average():
 
 def test_architecture_sweep_reports_each_layout():
     ds = split_dataset(generate_dataset(linear_space(n_samples=16), 11), (0.8, 0.1, 0.1), seed=1)
-    rows = architecture_sweep(
-        ds, [(3, 11), (3, 4, 11)], quick_train_config(learning_rate=0.001, max_epochs=100)
+    trained = architecture_sweep(
+        ds, [((3, 11), None), ((3, 4, 11), ("purelin", "purelin"))],
+        quick_train_config(learning_rate=0.001, max_epochs=100),
     )
-    assert [row[0] for row in rows] == [[3, 11], [3, 4, 11]]
-    assert all(row[1] >= 0.0 for row in rows)
-
-
-@pytest.mark.parametrize("hidden_transfer, retrained", [("tanh", False), ("purelin", True)])
-def test_architecture_sweep_reuses_the_main_model_only_for_its_own_layout(
-    monkeypatch, hidden_transfer, retrained
-):
-    ds = split_dataset(generate_dataset(linear_space(n_samples=16), 11), (0.8, 0.1, 0.1), seed=1)
-    cfg = quick_train_config(learning_rate=0.001, max_epochs=100)
-    main = train_surrogate(ds, (3, 4, 11), cfg, transfers=(hidden_transfer, "purelin"))
-    fresh = architecture_sweep(ds, [(3, 11), (3, 4, 11)], cfg)
-
-    trained_layouts = []
-    original = surrogate.train_surrogate
-
-    def counting(dataset, layer_sizes, *args, **kwargs):
-        trained_layouts.append(tuple(layer_sizes))
-        return original(dataset, layer_sizes, *args, **kwargs)
-
-    monkeypatch.setattr(surrogate, "train_surrogate", counting)
-    rows = architecture_sweep(ds, [(3, 11), (3, 4, 11)], cfg, trained=main)
-    # Only a main model with the sweep's default transfers stands in for a row.
-    assert trained_layouts == ([(3, 11), (3, 4, 11)] if retrained else [(3, 11)])
-    assert rows[0][:3] == fresh[0][:3]
-    assert rows[1][:3] == fresh[1][:3]
-    if not retrained:
-        assert rows[1][3] == main[1].wall_time
+    assert [model.mlp.layer_sizes for model, _ in trained] == [(3, 11), (3, 4, 11)]
+    assert [model.mlp.transfers for model, _ in trained] == [("purelin",), ("purelin", "purelin")]
+    assert all(report.epochs_run == 100 for _, report in trained)
