@@ -1,6 +1,7 @@
 """Print digests of every deterministic artifact the demo runs write.
 
-Runs every `configs/*.json` plus `perfbench/wide_datagen.json` through
+Runs every config that `digest_configs` yields (`configs/*.json`,
+`perfbench/wide_datagen.json` and the variants below) through
 `poissonlab` into a temporary directory and prints one JSON object that
 maps each config to the SHA-256 of every file its manifest flags
 deterministic, plus a SHA-256 of the training loss history when the run
@@ -14,7 +15,7 @@ on a fixed seeded block of 64 parameter rows drawn from the config's
 ranges: 64 stacked one-row `predict` calls, the path the ledger's
 `t_pr` times, and one batch call.
 
-It also runs two variants of `configs/surrogate_tanh.json`, each
+The variants are edits of `configs/surrogate_tanh.json`, each
 written as a temporary config and listed under its own key. With
 `train.learning_rate` 1.0 the run diverges in the main training and in
 every sweep layout, so its digests cover losses and gradients near
@@ -60,7 +61,6 @@ COMMAND_BY_SECTION = (
     ("regression", "fit"),
     ("ledger", "breakeven"),
     ("problems", "solve"),
-    ("problem", "solve"),
 )
 
 
@@ -75,6 +75,18 @@ def command_for(config: dict) -> str:
 # value) edits. At learning rate 1.0 its training diverges.
 VARIANT_BASE = "configs/surrogate_tanh.json"
 VARIANTS = (("train", "learning_rate", 1.0), ("space", "sampling", "grid"))
+
+
+def digest_configs():
+    """(key, config document) of every config this script runs, in order:
+    each `configs/*.json`, `perfbench/wide_datagen.json`, then each variant."""
+    for path in sorted((ROOT / "configs").glob("*.json")) + [ROOT / "perfbench" / "wide_datagen.json"]:
+        yield str(path.relative_to(ROOT)), json.loads(path.read_text(encoding="utf-8"))
+    for section, key, value in VARIANTS:
+        config = json.loads((ROOT / VARIANT_BASE).read_text(encoding="utf-8"))
+        config[section][key] = value
+        yield f"{VARIANT_BASE} {section}.{key}={value}", config
+
 
 # The seed and size of the block of queries a saved surrogate answers.
 PREDICT_SEED, PREDICT_ROWS = 0, 64
@@ -97,13 +109,14 @@ def digest_predictions(config: dict, model_path: Path) -> dict:
     }
 
 
-def digest_run(config_path: Path, out_dir: Path) -> dict:
-    config = json.loads(config_path.read_text(encoding="utf-8"))
+def digest_run(config: dict, config_path: Path, out_dir: Path) -> dict:
+    """Run `config`, written to `config_path`, into `out_dir` and digest its artifacts."""
+    config_path.write_text(json.dumps(config), encoding="utf-8")
     command = command_for(config)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([command, "--config", str(config_path), "--out", str(out_dir)])
     if code != 0:
-        raise RuntimeError(f"{config_path} exited {code}")
+        raise RuntimeError(f"{config_path.name} exited {code}")
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     files = {
         entry["name"]: sha256_file(out_dir / entry["name"])
@@ -133,18 +146,10 @@ def sha256_json(value) -> str:
 
 
 def main() -> int:
-    configs = sorted((ROOT / "configs").glob("*.json")) + [ROOT / "perfbench" / "wide_datagen.json"]
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for i, path in enumerate(configs):
-            digests[str(path.relative_to(ROOT))] = digest_run(path, Path(tmp) / str(i))
-        for section, key, value in VARIANTS:
-            config = json.loads((ROOT / VARIANT_BASE).read_text(encoding="utf-8"))
-            config[section][key] = value
-            name = f"{section}.{key}={value}"
-            path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(config), encoding="utf-8")
-            digests[f"{VARIANT_BASE} {name}"] = digest_run(path, Path(tmp) / name)
+        for i, (key, config) in enumerate(digest_configs()):
+            digests[key] = digest_run(config, Path(tmp) / f"{i}.json", Path(tmp) / str(i))
     json.dump(digests, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -132,27 +132,17 @@ def default_transfers(layer_sizes) -> tuple:
     return tuple(["tanh"] * (n_layers - 1) + ["purelin"])
 
 
-def init_mlp(layer_sizes, transfers=None, seed: int = 0, scheme: str = "uniform") -> MlpModel:
-    """Build a model with seeded parameters.
-
-    scheme "uniform" draws every weight and bias from U[-0.5, 0.5] using
-    one PCG64 stream (weights before biases, layer by layer); "zeros"
-    starts everything at zero.
-    """
+def init_mlp(layer_sizes, transfers=None, seed: int = 0) -> MlpModel:
+    """Build a model whose every weight and bias is drawn from U[-0.5, 0.5]
+    by one PCG64 stream, weights before biases, layer by layer."""
     layer_sizes = tuple(int(s) for s in layer_sizes)
     if transfers is None:
         transfers = default_transfers(layer_sizes)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_out, fan_in in zip(layer_sizes[1:], layer_sizes[:-1]):
-        if scheme == "uniform":
-            weights.append(rng.uniform(-0.5, 0.5, size=(fan_out, fan_in)))
-            biases.append(rng.uniform(-0.5, 0.5, size=fan_out))
-        elif scheme == "zeros":
-            weights.append(np.zeros((fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
-        else:
-            raise ParameterError(f"unknown init scheme {scheme!r}")
+        weights.append(rng.uniform(-0.5, 0.5, size=(fan_out, fan_in)))
+        biases.append(rng.uniform(-0.5, 0.5, size=fan_out))
     return MlpModel(layer_sizes=layer_sizes, weights=weights, biases=biases, transfers=transfers)
 
 
@@ -162,7 +152,6 @@ class TrainConfig:
     stop_tolerance: float
     max_epochs: int
     init_seed: int = 0
-    init_scheme: str = "uniform"
 
     def __post_init__(self):
         if not self.learning_rate > 0:

@@ -11,9 +11,8 @@ run whose pipeline fails writes no file.
 Exit codes: 0 success; 2 config error, including a config file that is
 not UTF-8 text and an --out that cannot be a directory; 3 numerical
 failure; 4 missing input, or a run's manifest that is not a JSON object.
-Artifacts that are inherently CSV (datasets) or inherently JSON (models,
-reports, manifest) are always written; plot-ready curve CSVs are emitted
-only when "csv" is among the requested formats.
+Datasets and plot-ready curves are written as CSV; models, reports and
+the manifest as JSON.
 """
 
 from __future__ import annotations
@@ -47,14 +46,6 @@ def _resolve_out_dir(cfg: ExperimentConfig, args) -> Path:
     return out
 
 
-def _formats(cfg: ExperimentConfig, args) -> tuple:
-    if args.format is not None:
-        return (args.format,)
-    if cfg.output is not None:
-        return cfg.output.formats
-    return ("csv", "json")
-
-
 class _Artifacts:
     """Writes a run's files and records (name, deterministic) for its manifest.
 
@@ -75,19 +66,18 @@ class _Artifacts:
         write_json(self.out_dir / name, obj)
         self.files.append((name, deterministic))
 
-    def training(self, model, report, formats) -> None:
-        """model.json, train_report.json and, with "csv" in formats, loss.csv."""
+    def training(self, model, report) -> None:
+        """model.json, train_report.json and loss.csv."""
         self.json("model.json", model.to_dict())
         self.json("train_report.json", report, deterministic=False)
-        if "csv" in formats:
-            self.csv("loss.csv", ("epoch", "loss"), enumerate(report.loss_history, start=1))
+        self.csv("loss.csv", ("epoch", "loss"), enumerate(report.loss_history, start=1))
 
     def manifest(self, config_doc: dict, seeds: dict, timings: dict) -> None:
         write_manifest(self.out_dir, config_doc, seeds=seeds, timings=timings, files=self.files)
 
 
-def cmd_solve(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
-    cfg.require("problem")
+def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> None:
+    cfg.require("problems")
     out = _Artifacts(out_dir)
     combined = []
     for i, problem in enumerate(cfg.problems):
@@ -105,7 +95,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     print(f"wrote {len(out.files)} solution files to {out_dir}")
 
 
-def cmd_fit(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
+def cmd_fit(cfg: ExperimentConfig, out_dir: Path) -> None:
     cfg.require("regression")
     r = cfg.regression
     dataset = regress.generate_synthetic(**asdict(r))
@@ -135,15 +125,10 @@ def _build_ann_model(cfg: ExperimentConfig) -> ann.MlpModel:
             biases=spec.init_biases,
             transfers=transfers,
         )
-    return ann.init_mlp(
-        spec.layer_sizes,
-        transfers=transfers,
-        seed=cfg.train.init_seed,
-        scheme=cfg.train.init_scheme,
-    )
+    return ann.init_mlp(spec.layer_sizes, transfers=transfers, seed=cfg.train.init_seed)
 
 
-def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
+def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path) -> None:
     cfg.require("regression", "ann", "train")
     r = cfg.regression
     dataset = regress.generate_synthetic(**asdict(r))
@@ -151,7 +136,7 @@ def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     trained, report = ann.train_steepest_descent(model, dataset.inputs, dataset.targets, cfg.train)
 
     out = _Artifacts(out_dir)
-    out.training(trained, report, formats)
+    out.training(trained, report)
     out.manifest(
         cfg.raw,
         seeds={"regression_seed": r.seed, "init_seed": cfg.train.init_seed},
@@ -163,7 +148,7 @@ def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     )
 
 
-def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
+def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path) -> None:
     run = surrogate.run(cfg)
     dataset, first = run.dataset, run.candidates[0]
     eval_report, verdict = first.eval_report, first.ledger
@@ -186,25 +171,20 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
             "split_counts": {tag: int(dataset.rows_for(tag).size) for tag in surrogate.SPLIT_TAGS},
         },
     )
-    out.training(first.model, first.train_report, formats)
+    out.training(first.model, first.train_report)
     out.json("eval_report.json", eval_report)
-    if "csv" in formats:
-        out.csv("extrapolation.csv", ("range_multiplier", "rmse"), eval_report.extrapolation_curve)
-        out.csv(
-            "sensitivity.csv",
-            ("input_perturbation", "max_output_deviation"),
-            eval_report.sensitivity_table,
-        )
+    out.csv("extrapolation.csv", ("range_multiplier", "rmse"), eval_report.extrapolation_curve)
+    out.csv("sensitivity.csv", ("input_perturbation", "max_output_deviation"), eval_report.sensitivity_table)
 
     if run.data_curve is not None:
         rows = run.data_curve
-        seed_means = [
-            {"n_samples": size, "rmse_test": float(np.mean([r[2] for r in rows if r[0] == size]))}
-            for size in cfg.data_curve.sizes
-        ]
+        seed_means = []
+        for size in cfg.data_curve.sizes:
+            # A run whose test split is empty has no test RMSE to average.
+            scores = [r[2] for r in rows if r[0] == size and r[2] is not None]
+            seed_means.append({"n_samples": size, "rmse_test": float(np.mean(scores)) if scores else None})
         out.json("data_curve.json", {"rows": rows, "seed_means": seed_means})
-        if "csv" in formats:
-            out.csv("data_curve.csv", ("n_samples", "seed", "rmse_test"), rows)
+        out.csv("data_curve.csv", ("n_samples", "seed", "rmse_test"), rows)
 
     rows = [
         {"layer_sizes": c.model.mlp.layer_sizes, "transfers": c.model.mlp.transfers,
@@ -244,7 +224,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
     )
 
 
-def cmd_breakeven(cfg: ExperimentConfig, out_dir: Path, formats) -> None:
+def cmd_breakeven(cfg: ExperimentConfig, out_dir: Path) -> None:
     cfg.require("ledger")
     verdict = costs.summary(cfg.ledger)
     out = _Artifacts(out_dir)
@@ -271,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override every seed in the config")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
     report_parser = sub.add_parser("report")
     report_parser.add_argument("--run", required=True, help="run directory containing manifest.json")
     return parser
@@ -287,7 +266,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = parse_config(override_seeds(cfg.raw, args.seed))
         out_dir = _resolve_out_dir(cfg, args)
-        COMMANDS[args.command](cfg, out_dir, _formats(cfg, args))
+        COMMANDS[args.command](cfg, out_dir)
         return 0
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

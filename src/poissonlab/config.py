@@ -193,16 +193,13 @@ class CostSpec:
 @dataclass(frozen=True)
 class OutputSpec:
     directory: str
-    formats: tuple = ("csv", "json")
 
 
 _transfer = _one_of(*TRANSFERS)
 _problem = _Section(PoissonProblem, g=_number, x0=_number, x1=_number, y0=_number, y1=_number)
 
-# Top-level key -> (ExperimentConfig attribute, reader). Keys that fill
-# the same attribute (`problem`, `problems`) are alternatives.
+# Top-level key -> (ExperimentConfig attribute, reader).
 SECTIONS = {
-    "problem": ("problems", lambda value, path: (_problem(value, path),)),
     "problems": ("problems", _list_of(_problem, min_len=1)),
     "n_nodes": ("n_nodes", _at_least(3)),
     "regression": ("regression", _Section(
@@ -213,7 +210,7 @@ SECTIONS = {
         init_weights=_list_of(_list_of(_list_of(_number))), init_biases=_list_of(_list_of(_number)))),
     "train": ("train", _Section(
         TrainConfig, learning_rate=_number, stop_tolerance=_number, max_epochs=_integer,
-        init_seed=_seed, init_scheme=_one_of("uniform", "zeros"))),
+        init_seed=_seed)),
     "space": ("space", _Section(
         ParameterSpace, **{f"{p}_range": _interval for p in PARAMETERS}, x0=_number,
         x1=_number, sampling=_one_of(*SAMPLINGS), n_samples=_integer, master_seed=_seed)),
@@ -232,8 +229,7 @@ SECTIONS = {
     "ledger": ("ledger", _Section(
         CostLedger, t_dg=_number, t_nt=_number, t_pr=_number, t_solve=_number,
         n_predictions=_integer)),
-    "output": ("output", _Section(
-        OutputSpec, directory=_text, formats=_list_of(_one_of("csv", "json"), min_len=1))),
+    "output": ("output", _Section(OutputSpec, directory=_text)),
 }
 
 
@@ -275,14 +271,9 @@ class ExperimentConfig:
 def parse_config(doc: dict) -> ExperimentConfig:
     _check_keys(doc, "config", SECTIONS, ())
     cfg = ExperimentConfig(raw=doc)
-    given = {}
     for key, (attr, reader) in SECTIONS.items():
-        if key not in doc:
-            continue
-        if attr in given:
-            raise ConfigError(f"config: give either `{given[attr]}` or `{key}`, not both")
-        given[attr] = key
-        setattr(cfg, attr, reader(doc[key], key))
+        if key in doc:
+            setattr(cfg, attr, reader(doc[key], key))
     return cfg
 
 

@@ -59,7 +59,9 @@ def jsonable(obj, non_finite: list, path: str = ""):
 
 
 def format_cell(value) -> str:
-    """CSV cell text; floats use repr for lossless, stable round-trips."""
+    """CSV cell text; floats use repr for lossless, stable round-trips, and None is an empty cell."""
+    if value is None:
+        return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, np.integer):

@@ -135,7 +135,7 @@ def _report(run_dir: Path) -> str:
         rows.append(("Q6", "rate, tolerance, epochs", "not measured"))
 
     if curve_doc is not None:
-        points = ", ".join(f"n={r['n_samples']} -> {_num(r['rmse_test'], '.4g')}" for r in curve_doc["seed_means"])
+        points = ", ".join(f"n={r['n_samples']} -> {_fmt_rmse(r['rmse_test'])}" for r in curve_doc["seed_means"])
         rows.append(("Q7", "data requirement curve", f"{points} (per-seed rows in data_curve.json)"))
     elif eval_doc is not None and config.get("space") is not None:
         rows.append((

@@ -279,7 +279,7 @@ def train_surrogate(
     center, scale = _standardization(dataset.inputs[train_rows])
     x = (dataset.inputs[train_rows] - center) / scale
     y = dataset.outputs[train_rows]
-    model = ann.init_mlp(layer_sizes, transfers=transfers, seed=cfg.init_seed, scheme=cfg.init_scheme)
+    model = ann.init_mlp(layer_sizes, transfers=transfers, seed=cfg.init_seed)
     trained, report = ann.train_steepest_descent(model, x, y, cfg)
     surrogate = SurrogateModel(mlp=trained, input_center=center, input_scale=scale, grid=dataset.grid)
     return surrogate, report
@@ -305,17 +305,32 @@ class EvalReport:
     bc_violation_mean: float
 
 
+def _scoring():
+    """The error state every score of a model's predictions is taken under:
+    a diverged model predicts inf/nan, which its scores report instead of
+    warning."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
-    # Diverged models predict inf/nan; report that honestly instead of warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = predicted - truth
-        return float(np.sqrt(np.mean(diff * diff)))
+    diff = predicted - truth
+    return float(np.sqrt(np.mean(diff * diff)))
 
 
 def probe_rmse(model: SurrogateModel, dataset: SurrogateDataset) -> float:
     """RMSE over the probe rows, which are every row when the test split is empty."""
     rows = dataset.probe_rows()
-    return _rmse(model.predict(dataset.inputs[rows]), dataset.outputs[rows])
+    with _scoring():
+        return _rmse(model.predict(dataset.inputs[rows]), dataset.outputs[rows])
+
+
+def _split_rmse(model: SurrogateModel, dataset: SurrogateDataset, tag: str) -> float | None:
+    """RMSE over one split's rows, or None when the split is empty."""
+    rows = dataset.rows_for(tag)
+    if not rows.size:
+        return None
+    with _scoring():
+        return _rmse(model.predict(dataset.inputs[rows]), dataset.outputs[rows])
 
 
 def scaled_space(space: ParameterSpace, multiplier: float) -> ParameterSpace:
@@ -370,42 +385,41 @@ def evaluate(
     and seed, so several models share its solves.
     """
     fresh, probes, fine_truth = reference or eval_reference(dataset, space, extrap_multipliers, n_fresh, seed)
-    predictions = model.predict(dataset.inputs)
+    with _scoring():
+        predictions = model.predict(dataset.inputs)
 
-    # One array of squared errors serves every split, so less is held above the reference solves.
-    split_rmse = {}
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _rmse
+        # One array of squared errors serves every split, so less is held above the reference solves.
         squares = predictions - dataset.outputs
         squares *= squares
+        by_split = {}
         for tag in SPLIT_TAGS:
             rows = dataset.rows_for(tag)
-            split_rmse[tag] = float(np.sqrt(np.mean(squares[rows]))) if rows.size else None
+            by_split[tag] = float(np.sqrt(np.mean(squares[rows]))) if rows.size else None
 
-    ends = np.abs(predictions[:, [0, -1]] - dataset.outputs[:, [0, -1]])
-    bc_violation_mean = float(np.mean(0.5 * (ends[:, 0] + ends[:, 1])))
+        ends = np.abs(predictions[:, [0, -1]] - dataset.outputs[:, [0, -1]])
+        bc_violation_mean = float(np.mean(0.5 * (ends[:, 0] + ends[:, 1])))
 
-    curve = [(multiplier, _rmse(model.predict(draws), truth)) for multiplier, draws, truth in fresh]
-    base = model.predict(probes)
+        curve = [(multiplier, _rmse(model.predict(draws), truth)) for multiplier, draws, truth in fresh]
+        base = model.predict(probes)
 
-    sensitivity = []
-    for delta in perturbations:
-        delta = float(delta)
-        deviations = []
-        for axis in range(probes.shape[1]):
-            for sign in (+1.0, -1.0):
-                nudged = probes.copy()
-                nudged[:, axis] += sign * delta
-                with np.errstate(over="ignore", invalid="ignore"):
+        sensitivity = []
+        for delta in perturbations:
+            delta = float(delta)
+            deviations = []
+            for axis in range(probes.shape[1]):
+                for sign in (+1.0, -1.0):
+                    nudged = probes.copy()
+                    nudged[:, axis] += sign * delta
                     deviations.append(np.max(np.abs(model.predict(nudged) - base)))
-        # np.max, unlike the builtin max, propagates NaN.
-        sensitivity.append((delta, float(np.max(deviations))))
+            # np.max, unlike the builtin max, propagates NaN.
+            sensitivity.append((delta, float(np.max(deviations))))
 
-    fine_grid = np.linspace(space.x0, space.x1, fine_truth.shape[1])
-    fine_pred = np.vstack([np.interp(fine_grid, dataset.grid, row) for row in base])
-    transfer = _rmse(fine_pred, fine_truth)
+        fine_grid = np.linspace(space.x0, space.x1, fine_truth.shape[1])
+        fine_pred = np.vstack([np.interp(fine_grid, dataset.grid, row) for row in base])
+        transfer = _rmse(fine_pred, fine_truth)
 
     return EvalReport(
-        rmse_train=split_rmse["train"], rmse_val=split_rmse["val"], rmse_test=split_rmse["test"],
+        rmse_train=by_split["train"], rmse_val=by_split["val"], rmse_test=by_split["test"],
         extrapolation_curve=curve, sensitivity_table=sensitivity,
         discretization_transfer=transfer, bc_violation_mean=bc_violation_mean,
     )
@@ -425,7 +439,7 @@ def data_requirement_curve(
 
     Each run regenerates, splits and trains from scratch with the
     master seed replaced by the sweep seed. Rows are (n_samples, seed,
-    rmse_test).
+    rmse_test); rmse_test is None when the run's test split is empty.
     """
     rows = []
     for size in sizes:
@@ -434,7 +448,7 @@ def data_requirement_curve(
             dataset = generate_dataset(sub_space, n_nodes)
             dataset = split_dataset(dataset, ratios, seed=int(seed))
             model, _ = train_surrogate(dataset, layer_sizes, cfg, transfers=transfers)
-            rows.append((int(size), int(seed), probe_rmse(model, dataset)))
+            rows.append((int(size), int(seed), _split_rmse(model, dataset, "test")))
     return rows
 
 
@@ -498,11 +512,12 @@ def run(cfg: ExperimentConfig) -> SurrogateRun:
     probe = dataset.inputs[0]
     problem = PoissonProblem(x0=space.x0, x1=space.x1, **{p: float(v) for p, v in zip(PARAMETERS, probe)})
     (model, report), *others = trained
-    ledger = costs.measure(
-        dataset.generation_time, report.wall_time, partial(model.predict, probe),
-        lambda: solve_fdm(problem, cfg.n_nodes), cfg.cost_spec.n_predictions, cfg.cost_spec.repetitions,
-    )
-    ledgers = [ledger] + [costs.reprice(ledger, r.wall_time, partial(m.predict, probe)) for m, r in others]
+    with _scoring():  # outside the timed calls, so t_pr times the bare prediction
+        ledger = costs.measure(
+            dataset.generation_time, report.wall_time, partial(model.predict, probe),
+            lambda: solve_fdm(problem, cfg.n_nodes), cfg.cost_spec.n_predictions, cfg.cost_spec.repetitions,
+        )
+        ledgers = [ledger] + [costs.reprice(ledger, r.wall_time, partial(m.predict, probe)) for m, r in others]
     candidates = tuple(
         Candidate(m, r, e, costs.summary(l, diverged=r.stop_reason == "diverged", rmse_test=e.rmse_test))
         for (m, r), e, l in zip(trained, evals, ledgers)

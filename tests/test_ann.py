@@ -80,7 +80,12 @@ def test_forward_single_linear_neuron():
 
 
 def test_forward_zero_model():
-    model = init_mlp((2, 3, 2), transfers=("purelin", "purelin"), scheme="zeros")
+    model = MlpModel(
+        layer_sizes=(2, 3, 2),
+        weights=[np.zeros((3, 2)), np.zeros((2, 3))],
+        biases=[np.zeros(3), np.zeros(2)],
+        transfers=("purelin", "purelin"),
+    )
     npt.assert_array_equal(predict_batch(model, [[5.0, -1.0]]), np.zeros((1, 2)))
 
 
@@ -621,11 +626,7 @@ def test_init_schemes():
     uniform = init_mlp((2, 3), seed=1)
     assert np.all(np.abs(uniform.weights[0]) <= 0.5)
     assert np.all(np.abs(uniform.biases[0]) <= 0.5)
-    zeros = init_mlp((2, 3), scheme="zeros")
-    assert np.all(zeros.weights[0] == 0.0)
     npt.assert_array_equal(init_mlp((2, 3), seed=1).weights[0], uniform.weights[0])
-    with pytest.raises(ParameterError):
-        init_mlp((2, 3), scheme="orthogonal")
 
 
 def test_predict_batch_shapes():

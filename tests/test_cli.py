@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -100,16 +101,18 @@ def test_config_rejects_non_positive_layer_widths():
 
 
 def test_config_rejects_problem_and_problems():
+    # `problems` is the only way to give problems; `problem` is an unknown key.
     problem = {"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}
-    with pytest.raises(ConfigError):
-        parse_config({"problem": problem, "problems": [problem]})
+    for doc in ({"problem": problem}, {"problem": problem, "problems": [problem]}):
+        with pytest.raises(ConfigError, match=r"unknown keys \['problem'\]"):
+            parse_config(doc)
 
 
 # -- exit codes --------------------------------------------------------
 
 
 def test_exit_zero_on_success(tmp_path):
-    path = write_config(tmp_path, {"problem": {"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}})
+    path = write_config(tmp_path, {"problems": [{"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}]})
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
@@ -193,7 +196,7 @@ def test_exit_four_on_missing_manifest(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
-PROBLEM_JSON = b'{"problem": {"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}}'
+PROBLEM_JSON = b'{"problems": [{"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}]}'
 
 
 @pytest.mark.parametrize(
@@ -274,7 +277,7 @@ def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, sect
 
 def test_solve_homogeneous_writes_zeros(tmp_path):
     path = write_config(tmp_path, {
-        "problem": {"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0},
+        "problems": [{"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}],
         "n_nodes": 5,
     })
     out = tmp_path / "out"
@@ -519,31 +522,81 @@ def test_surrogate_arch_sweep_flows_into_report(tmp_path, capsys):
     assert "sweep" in q4 and "[3, 4, 21]" in q4
 
 
-def test_surrogate_json_format_skips_curve_csvs(tmp_path):
-    path = write_config(tmp_path, SURROGATE_DOC)
-    run = tmp_path / "run"
-    assert main([
-        "surrogate", "--config", str(path), "--out", str(run), "--format", "json",
-    ]) == 0
-    assert not (run / "loss.csv").exists()
-    assert not (run / "extrapolation.csv").exists()
-    assert (run / "inputs.csv").exists()
-    assert (run / "eval_report.json").exists()
-    manifest = read_json(run / "manifest.json")
-    listed = {entry["name"] for entry in manifest["files"]}
-    assert listed == {p.name for p in run.iterdir()} - {"manifest.json"}
-
-
 def test_report_names_the_data_curve_file_a_json_run_wrote(tmp_path, capsys):
     doc = dict(SURROGATE_DOC, data_curve={"sizes": [8, 16], "seeds": [0]})
     path = write_config(tmp_path, doc)
     run = tmp_path / "run"
-    assert main(["surrogate", "--config", str(path), "--out", str(run), "--format", "json"]) == 0
+    assert main(["surrogate", "--config", str(path), "--out", str(run)]) == 0
     capsys.readouterr()
     assert main(["report", "--run", str(run)]) == 0
     q7 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q7"))
     named = re.findall(r"data_curve\.\w+", q7)
     assert named and all((run / name).exists() for name in named)
+
+
+def test_data_curve_scores_only_the_test_split(tmp_path, capsys):
+    # At n = 8, ratios (0.8, 0.1, 0.1) leave no test row: that point has no
+    # test RMSE, rather than the train RMSE in its place.
+    doc = dict(SURROGATE_DOC, data_curve={"sizes": [8, 16], "seeds": [0, 1]})
+    run = tmp_path / "run"
+    assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(run)]) == 0
+    curve = read_json(run / "data_curve.json")
+    assert [row[2] is None for row in curve["rows"]] == [True, True, False, False]
+    assert curve["seed_means"][0] == {"n_samples": 8, "rmse_test": None}
+    assert curve["seed_means"][1]["rmse_test"] == pytest.approx((curve["rows"][2][2] + curve["rows"][3][2]) / 2)
+    lines = (run / "data_curve.csv").read_text().splitlines()
+    assert lines[1:3] == ["8,0,", "8,1,"]
+    capsys.readouterr()
+    assert main(["report", "--run", str(run)]) == 0
+    q7 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q7"))
+    assert "n=8 -> absent (empty split), n=16 -> " in q7
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [(None, "problem", {"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}),
+     ("train", "init_scheme", "uniform"), ("output", "formats", ["csv", "json"])],
+    ids=["problem", "train.init_scheme", "output.formats"],
+)
+def test_removed_settings_are_unknown_keys(tmp_path, capsys, section, key, value):
+    doc = dict(SURROGATE_DOC, train=dict(SURROGATE_DOC["train"]), output={"directory": str(tmp_path / "out")})
+    (doc if section is None else doc[section])[key] = value
+    assert main(["surrogate", "--config", str(write_config(tmp_path, doc))]) == 2
+    assert f"unknown keys ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_format_flag_is_unknown(tmp_path, capsys):
+    path = write_config(tmp_path, SURROGATE_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["surrogate", "--config", str(path), "--out", str(tmp_path / "run"), "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+def test_diverged_model_is_scored_without_a_runtime_warning(tmp_path):
+    # Huge parameters on a tiny domain drive a [3, 1, 2, 7] purelin net to
+    # huge finite weights, whose predictions overflow in every score and in
+    # the ledger's timed prediction.
+    doc = {
+        "space": {
+            "g_range": [100.0, 300.0], "y0_range": [-200.0, 200.0], "y1_range": [100.0, 400.0],
+            "x0": 0.0, "x1": 0.001, "sampling": "uniform_random", "n_samples": 7, "master_seed": 0,
+        },
+        "n_nodes": 7,
+        "arch": {"hidden": [1, 2], "hidden_transfer": "purelin", "output_transfer": "purelin"},
+        "train": {"learning_rate": 0.1, "stop_tolerance": 1e-12, "max_epochs": 19, "init_seed": 0},
+        "split": {"ratios": [0.5, 0, 0.5], "seed": 0},
+        "eval": {"multipliers": [1.0, 4.0], "perturbations": [0.01], "n_fresh": 4, "seed": 0},
+        "costs": {"repetitions": 3, "n_predictions": 10},
+        "data_curve": {"sizes": [7], "seeds": [0]},
+    }
+    run = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(run)]) == 0
+    assert read_json(run / "train_report.json")["stop_reason"] == "diverged"
+    assert read_json(run / "cost_ledger.json")["break_even"] == "invalid"
 
 
 def test_surrogate_tanh_demo_config_runs(tmp_path):
@@ -597,7 +650,7 @@ def test_report_reads_each_candidates_test_rmse_on_an_empty_test_split(tmp_path,
 
 def test_report_on_solve_run_marks_unmeasured_rows(tmp_path, capsys):
     config = write_config(
-        tmp_path, {"problem": {"g": 1.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}}
+        tmp_path, {"problems": [{"g": 1.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 0.0}]}
     )
     out = tmp_path / "run"
     assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
@@ -781,7 +834,10 @@ def test_random_surrogate_configs_exit_cleanly_and_report(doc):
     with tempfile.TemporaryDirectory() as tmp:
         config, run = Path(tmp) / "config.json", Path(tmp) / "run"
         config.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            # A diverged model is scored and reported without a warning.
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["surrogate", "--config", str(config), "--out", str(run)])
             assert code in (0, 2, 3, 4)
             if code == 0:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from poissonlab.cli import main
-from poissonlab.config import override_seeds, parse_config
+from poissonlab.config import SECTIONS, override_seeds, parse_config
 from poissonlab.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,3 +99,20 @@ def test_seed_override_replaces_exactly_the_seed_keys():
     cfg = parse_config(out)
     assert (cfg.regression.seed, cfg.train.init_seed, cfg.space.master_seed) == (99, 99, 99)
     assert (cfg.split_seed, cfg.eval_spec.seed) == (99, 99)
+
+
+def test_every_config_key_is_set_by_a_digested_config():
+    # A key that no digested config sets is a setting whose output nobody
+    # checks: each top-level key, and each key of an object section, must
+    # be set by a config that scripts/artifact_digests.py runs.
+    accepted = set(SECTIONS)
+    for key, (_, reader) in SECTIONS.items():
+        accepted |= {f"{key}.{name}" for name in getattr(reader, "readers", ())}
+    set_keys = set()
+    for _, doc in artifact_digests.digest_configs():
+        parse_config(doc)
+        for key, value in doc.items():
+            set_keys.add(key)
+            if isinstance(value, dict):
+                set_keys |= {f"{key}.{name}" for name in value}
+    assert sorted(accepted - set_keys) == []

@@ -490,12 +490,14 @@ def test_evaluate_deterministic():
 def test_data_curve_rmse_non_increasing_on_seed_average():
     # Fixed epoch budget, no early stop: sample count then governs how
     # fast the quadratic modes contract, so more data means lower error.
+    # Half of every size is test rows, so each point is a test RMSE.
     space = linear_space(n_samples=64)
     cfg = quick_train_config(stop_tolerance=1e-30, max_epochs=400)
     rows = data_requirement_curve(
         space, 21, sizes=(8, 16, 32), seeds=(0, 1, 2, 3, 4), layer_sizes=(3, 21),
-        cfg=cfg, transfers=("purelin",),
+        cfg=cfg, ratios=(0.5, 0.0, 0.5), transfers=("purelin",),
     )
+    assert all(rmse is not None for _, _, rmse in rows)
     means = [
         np.mean([rmse for size, _, rmse in rows if size == target])
         for target in (8, 16, 32)
