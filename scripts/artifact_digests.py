@@ -21,7 +21,9 @@ written as a temporary config and listed under its own key. With
 every sweep layout, so its digests cover losses and gradients near
 overflow, not only a converging run. With `space.sampling` "grid" its
 64 samples are a 4 x 4 x 4 grid, so the grid branch of sampling is
-covered too.
+covered too. With `split.ratios` [1, 0, 0] the test split is empty, so
+the scores taken on it (test RMSE, sensitivity, grid transfer) are
+covered in their absent form.
 
 Two commits give bit-identical deterministic artifacts when their
 outputs are equal:
@@ -72,9 +74,10 @@ def command_for(config: dict) -> str:
 
 
 # A base config and the variants of it that run as well: (section, key,
-# value) edits. At learning rate 1.0 its training diverges.
+# value) edits. At learning rate 1.0 its training diverges; ratios
+# [1, 0, 0] leave the test split empty.
 VARIANT_BASE = "configs/surrogate_tanh.json"
-VARIANTS = (("train", "learning_rate", 1.0), ("space", "sampling", "grid"))
+VARIANTS = (("train", "learning_rate", 1.0), ("space", "sampling", "grid"), ("split", "ratios", [1.0, 0.0, 0.0]))
 
 
 def digest_configs():

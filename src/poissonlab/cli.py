@@ -196,7 +196,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path) -> None:
     if cfg.arch_sweep is not None:  # written beside candidates.json for one more release
         by_layout = {(c.model.mlp.layer_sizes, c.model.mlp.transfers): c for c in run.candidates}
         rows = [
-            {"layer_sizes": c.model.mlp.layer_sizes, "rmse_test": surrogate.probe_rmse(c.model, dataset),
+            {"layer_sizes": c.model.mlp.layer_sizes, "rmse_test": c.eval_report.rmse_test,
              "epochs_run": c.train_report.epochs_run, "wall_time": c.train_report.wall_time}
             for c in map(by_layout.get, surrogate.sweep_layouts(cfg))
         ]

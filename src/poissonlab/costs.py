@@ -141,38 +141,32 @@ def _verdict(ledger: CostLedger) -> int | str:
     return "never" if n_star is None else n_star
 
 
-def measure(
-    t_dg: float,
-    t_nt: float,
-    predict_once,
-    solve_once,
-    n_predictions: int,
-    repetitions: int,
-) -> CostLedger:
-    """Build a ledger from pipeline timings plus fresh per-call measurements.
+def measure(t_dg: float, solve_once, models, n_predictions: int, repetitions: int) -> list:
+    """One ledger per (t_nt, predict_once) pair of `models`, all sharing t_dg
+    and one fresh timing of the solve.
 
-    predict_once and solve_once are zero-argument callables run
-    single-threaded, back to back, on this machine. Before each path's
-    timed calls, one cold call warms it; it is left out of the median and
-    recorded as cold_prediction or cold_solve. t_pr and t_solve are
-    medians over `repetitions` calls each. A fresh process's first few
-    solves fall from about 150 to 50 µs, so without the warm-up a median
-    of five would sit on that slope.
+    solve_once and each predict_once are zero-argument callables run
+    single-threaded, back to back, on this machine: the solve first, then
+    each prediction in order. Before each path's timed calls, one cold
+    call warms it; it is left out of the median and recorded as
+    cold_solve or cold_prediction. t_solve and each t_pr are medians over
+    `repetitions` calls. A fresh process's first few solves fall from
+    about 150 to 50 µs, so without the warm-up a median of five would sit
+    on that slope.
     """
-    untimed = CostLedger(t_dg=float(t_dg), t_nt=0.0, t_pr=0.0, t_solve=0.0, n_predictions=int(n_predictions),
-                         repetitions=int(repetitions))
-    ledger = reprice(untimed, t_nt, predict_once)
-    cold_solve, solve_samples = _timed(solve_once, ledger.repetitions)
-    t_solve = _quantile(solve_samples, 0.5)
-    return replace(ledger, t_solve=t_solve, solve_samples=solve_samples, cold_solve=cold_solve)
-
-
-def reprice(ledger: CostLedger, t_nt: float, predict_once) -> CostLedger:
-    """`ledger` for another model of the same run: its training time, and its
-    prediction timed as `measure` times one. t_dg and the solve's timings stay."""
-    cold_prediction, pr_samples = _timed(predict_once, ledger.repetitions)
-    t_pr = _quantile(pr_samples, 0.5)
-    return replace(ledger, t_nt=float(t_nt), t_pr=t_pr, pr_samples=pr_samples, cold_prediction=cold_prediction)
+    if repetitions < 1:
+        raise ParameterError("repetitions must be >= 1")
+    cold_solve, solve_samples = _timed(solve_once, repetitions)
+    ledgers = []
+    for t_nt, predict_once in models:
+        cold_prediction, pr_samples = _timed(predict_once, repetitions)
+        ledgers.append(CostLedger(
+            t_dg=float(t_dg), t_nt=float(t_nt), t_pr=_quantile(pr_samples, 0.5),
+            t_solve=_quantile(solve_samples, 0.5), n_predictions=int(n_predictions), repetitions=int(repetitions),
+            pr_samples=pr_samples, solve_samples=solve_samples,
+            cold_prediction=cold_prediction, cold_solve=cold_solve,
+        ))
+    return ledgers
 
 
 def _timed(fn, repetitions: int) -> tuple:

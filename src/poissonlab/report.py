@@ -27,8 +27,12 @@ def _fmt_seconds(value) -> str:
     return _num(value, ".6g", " s")
 
 
+# What a score taken on the test split reads when that split is empty.
+_ABSENT = "absent (empty split)"
+
+
 def _fmt_rmse(value) -> str:
-    return "absent (empty split)" if value is None else _num(value, ".6g")
+    return _ABSENT if value is None else _num(value, ".6g")
 
 
 def _optional_json(run_dir: Path, name: str):
@@ -149,20 +153,18 @@ def _report(run_dir: Path) -> str:
     if eval_doc is not None:
         curve = ", ".join(f"x{m:g} -> {_num(r, '.4g')}" for m, r in eval_doc["extrapolation_curve"])
         rows.append(("Q8", "extrapolation error", curve or "not measured"))
-        transfer = eval_doc.get("discretization_transfer")
-        rows.append(
-            (
-                "Q9",
-                "discretization transfer",
-                "not measured" if transfer is None else f"RMSE {_num(transfer, '.6g')} on the 2x finer grid",
-            )
-        )
+        transfer = eval_doc["discretization_transfer"]
+        rows.append((
+            "Q9", "discretization transfer",
+            _ABSENT if transfer is None else f"RMSE {_num(transfer, '.6g')} on the 2x finer grid",
+        ))
         if train_doc is not None and train_doc["stop_reason"] == "diverged":
             # Saturated units of a diverged net can read a sensitivity of 0.
             table = "invalid (training diverged)"
         else:
             table = ", ".join(f"delta {d:g} -> max dev {_num(v, '.4g')}" for d, v in eval_doc["sensitivity_table"])
-        rows.append(("Q10", "input sensitivity", table or "not measured"))
+        # Every config lists a perturbation, so only an empty test split leaves the table empty.
+        rows.append(("Q10", "input sensitivity", table or _ABSENT))
     else:
         rows.append(("Q8", "extrapolation error", "not measured"))
         rows.append(("Q9", "discretization transfer", "not measured"))

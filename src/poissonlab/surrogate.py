@@ -57,7 +57,8 @@ class ParameterSpace:
     def __post_init__(self):
         for name in (f"{p}_range" for p in PARAMETERS):
             lo, hi = getattr(self, name)
-            object.__setattr__(self, name, (float(lo), float(hi)))
+            # + 0.0 turns -0.0 into 0.0: numpy's uniform rejects [0.0, -0.0], whose width is -0.0.
+            object.__setattr__(self, name, (float(lo) + 0.0, float(hi) + 0.0))
             if not lo <= hi:
                 raise ParameterError(f"{name} must satisfy lo <= hi, got [{lo}, {hi}]")
             # Uniform draws overflow on a range wider than the largest float.
@@ -107,11 +108,6 @@ class SurrogateDataset:
 
     def rows_for(self, tag: str) -> np.ndarray:
         return np.array([i for i, t in enumerate(self.split) if t == tag], dtype=int)
-
-    def probe_rows(self) -> np.ndarray:
-        """The test split, or every row when the test split is empty."""
-        rows = self.rows_for("test")
-        return rows if rows.size else np.arange(self.n_samples)
 
 
 def _seeded_draws(ranges, count: int, seed: int, *branch: int) -> np.ndarray:
@@ -317,13 +313,6 @@ def _rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def probe_rmse(model: SurrogateModel, dataset: SurrogateDataset) -> float:
-    """RMSE over the probe rows, which are every row when the test split is empty."""
-    rows = dataset.probe_rows()
-    with _scoring():
-        return _rmse(model.predict(dataset.inputs[rows]), dataset.outputs[rows])
-
-
 def _split_rmse(model: SurrogateModel, dataset: SurrogateDataset, tag: str) -> float | None:
     """RMSE over one split's rows, or None when the split is empty."""
     rows = dataset.rows_for(tag)
@@ -346,8 +335,8 @@ def scaled_space(space: ParameterSpace, multiplier: float) -> ParameterSpace:
 
 def eval_reference(dataset: SurrogateDataset, space: ParameterSpace, extrap_multipliers, n_fresh=32, seed=0):
     """The solves `evaluate` compares a model with: one (multiplier, rows, solves)
-    per multiplier, the probe rows, and their solves on the 2x finer grid.
-    They do not depend on the model, so a run solves them once."""
+    per multiplier, the test split's rows, and their solves on the 2x finer
+    grid. They do not depend on the model, so a run solves them once."""
     if n_fresh < 1:
         raise ParameterError(f"n_fresh must be >= 1, got {n_fresh}")
     n_nodes = dataset.grid.shape[0]
@@ -356,8 +345,8 @@ def eval_reference(dataset: SurrogateDataset, space: ParameterSpace, extrap_mult
         wider = scaled_space(space, float(multiplier))
         draws = _seeded_draws(wider.ranges, n_fresh, seed, _BRANCH_EVAL, m_index)
         fresh.append((float(multiplier), draws, fdm_values(*draws.T, wider.x0, wider.x1, n_nodes)))
-    probes = dataset.inputs[dataset.probe_rows()]
-    return fresh, probes, fdm_values(*probes.T, space.x0, space.x1, 2 * (n_nodes - 1) + 1)
+    tests = dataset.inputs[dataset.rows_for("test")]
+    return fresh, tests, fdm_values(*tests.T, space.x0, space.x1, 2 * (n_nodes - 1) + 1)
 
 
 def evaluate(
@@ -375,16 +364,17 @@ def evaluate(
     Interpolation: RMSE per split against the stored solver outputs.
     Extrapolation: for each multiplier, n_fresh parameter draws from the
     widened ranges are solved in one batched sweep and compared.
-    Sensitivity: each input of every probe row is nudged by +-delta and
+    Sensitivity: each input of every test row is nudged by +-delta and
     the largest output deviation is recorded; a non-finite deviation
     makes the entry NaN rather than hiding it. Discretization transfer:
-    predictions are linearly resampled onto a 2x finer grid and compared
-    with one batched sweep on that grid. Probe rows are the test split,
-    or every row when the test split is empty. `reference`, when given,
-    is `eval_reference` of the same dataset, space, multipliers, n_fresh
-    and seed, so several models share its solves.
+    test-row predictions are linearly resampled onto a 2x finer grid and
+    compared with one batched sweep on that grid. An empty test split
+    leaves the sensitivity table empty and the transfer None, as it
+    leaves rmse_test None. `reference`, when given, is `eval_reference`
+    of the same dataset, space, multipliers, n_fresh and seed, so
+    several models share its solves.
     """
-    fresh, probes, fine_truth = reference or eval_reference(dataset, space, extrap_multipliers, n_fresh, seed)
+    fresh, tests, fine_truth = reference or eval_reference(dataset, space, extrap_multipliers, n_fresh, seed)
     with _scoring():
         predictions = model.predict(dataset.inputs)
 
@@ -400,23 +390,24 @@ def evaluate(
         bc_violation_mean = float(np.mean(0.5 * (ends[:, 0] + ends[:, 1])))
 
         curve = [(multiplier, _rmse(model.predict(draws), truth)) for multiplier, draws, truth in fresh]
-        base = model.predict(probes)
 
-        sensitivity = []
-        for delta in perturbations:
-            delta = float(delta)
-            deviations = []
-            for axis in range(probes.shape[1]):
-                for sign in (+1.0, -1.0):
-                    nudged = probes.copy()
-                    nudged[:, axis] += sign * delta
-                    deviations.append(np.max(np.abs(model.predict(nudged) - base)))
-            # np.max, unlike the builtin max, propagates NaN.
-            sensitivity.append((delta, float(np.max(deviations))))
+        sensitivity, transfer = [], None
+        if len(tests):
+            base = model.predict(tests)
+            for delta in perturbations:
+                delta = float(delta)
+                deviations = []
+                for axis in range(tests.shape[1]):
+                    for sign in (+1.0, -1.0):
+                        nudged = tests.copy()
+                        nudged[:, axis] += sign * delta
+                        deviations.append(np.max(np.abs(model.predict(nudged) - base)))
+                # np.max, unlike the builtin max, propagates NaN.
+                sensitivity.append((delta, float(np.max(deviations))))
 
-        fine_grid = np.linspace(space.x0, space.x1, fine_truth.shape[1])
-        fine_pred = np.vstack([np.interp(fine_grid, dataset.grid, row) for row in base])
-        transfer = _rmse(fine_pred, fine_truth)
+            fine_grid = np.linspace(space.x0, space.x1, fine_truth.shape[1])
+            fine_pred = np.vstack([np.interp(fine_grid, dataset.grid, row) for row in base])
+            transfer = _rmse(fine_pred, fine_truth)
 
     return EvalReport(
         rmse_train=by_split["train"], rmse_val=by_split["val"], rmse_test=by_split["test"],
@@ -492,9 +483,9 @@ def run(cfg: ExperimentConfig) -> SurrogateRun:
 
     Every candidate is trained by `train_surrogate`, scored by `evaluate`
     against one set of reference solves, and priced on the first
-    sample's problem: `costs.measure` times its `solve_fdm` and the first
-    candidate's prediction, and `costs.reprice` each other candidate's
-    prediction. The data curve runs last, out of the ledgers' timings.
+    sample's problem by one `costs.measure` call, which times its
+    `solve_fdm` once and each candidate's prediction of it. The data curve
+    runs last, out of the ledgers' timings.
     """
     cfg.require("space", "arch", "train", "split", "eval", "costs")
     space, spec = cfg.space, cfg.eval_spec
@@ -511,13 +502,12 @@ def run(cfg: ExperimentConfig) -> SurrogateRun:
 
     probe = dataset.inputs[0]
     problem = PoissonProblem(x0=space.x0, x1=space.x1, **{p: float(v) for p, v in zip(PARAMETERS, probe)})
-    (model, report), *others = trained
     with _scoring():  # outside the timed calls, so t_pr times the bare prediction
-        ledger = costs.measure(
-            dataset.generation_time, report.wall_time, partial(model.predict, probe),
-            lambda: solve_fdm(problem, cfg.n_nodes), cfg.cost_spec.n_predictions, cfg.cost_spec.repetitions,
+        ledgers = costs.measure(
+            dataset.generation_time, lambda: solve_fdm(problem, cfg.n_nodes),
+            [(r.wall_time, partial(m.predict, probe)) for m, r in trained],
+            cfg.cost_spec.n_predictions, cfg.cost_spec.repetitions,
         )
-        ledgers = [ledger] + [costs.reprice(ledger, r.wall_time, partial(m.predict, probe)) for m, r in others]
     candidates = tuple(
         Candidate(m, r, e, costs.summary(l, diverged=r.stop_reason == "diverged", rmse_test=e.rmse_test))
         for (m, r), e, l in zip(trained, evals, ledgers)

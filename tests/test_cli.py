@@ -144,6 +144,16 @@ def test_exit_two_on_range_wider_than_float(tmp_path, capsys):
     assert "g_range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("y0_range", [[0.0, -0.0], [-0.0, 0.0]], ids=["0,-0", "-0,0"])
+def test_signed_zero_range_runs(tmp_path, y0_range):
+    # [0.0, -0.0] passes lo <= hi; its width must not reach the draws as -0.0.
+    doc = {**SURROGATE_DOC, "space": {**SPACE, "y0_range": y0_range}}
+    run = tmp_path / "run"
+    assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(run)]) == 0
+    lines = (run / "inputs.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[1] for line in lines} == {"0.0"}
+
+
 @pytest.mark.parametrize(
     "command, source, section, key, literal",
     [
@@ -635,8 +645,9 @@ def test_surrogate_zero_test_ratio_reports_absent(tmp_path):
 
 
 def test_report_reads_each_candidates_test_rmse_on_an_empty_test_split(tmp_path, capsys):
-    # Every row is a train row; arch_sweep.json's RMSE falls back to them,
-    # but no candidate has a test RMSE, as Q5 and Q7 say too.
+    # Every row is a train row, so no candidate has a test RMSE, as Q5 and
+    # Q7 say too; arch_sweep.json, the grid transfer (Q9) and the
+    # sensitivity (Q10) are scored on the test split and are absent too.
     doc = json.loads(Path("configs/surrogate_tanh.json").read_text())
     doc["split"]["ratios"] = [1.0, 0.0, 0.0]
     run = tmp_path / "run"
@@ -644,8 +655,14 @@ def test_report_reads_each_candidates_test_rmse_on_an_empty_test_split(tmp_path,
     assert [row["eval_report"]["rmse_test"] for row in read_json(run / "candidates.json")["rows"]] == [None] * 3
     capsys.readouterr()
     assert main(["report", "--run", str(run)]) == 0
-    q4 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q4"))
+    out = capsys.readouterr().out
+    q4 = next(l for l in out.splitlines() if l.startswith("Q4"))
     assert re.findall(r"test RMSE ([^,]+),", q4) == ["absent (empty split)"] * 3
+    assert [row["rmse_test"] for row in read_json(run / "arch_sweep.json")["rows"]] == [None] * 3
+    eval_report = read_json(run / "eval_report.json")
+    assert eval_report["discretization_transfer"] is None and eval_report["sensitivity_table"] == []
+    rows = {line.split()[0]: line.split(":", 1)[1].strip() for line in out.splitlines() if line.startswith("Q")}
+    assert rows["Q9"] == rows["Q10"] == "absent (empty split)"
 
 
 def test_report_on_solve_run_marks_unmeasured_rows(tmp_path, capsys):

@@ -147,7 +147,7 @@ def test_summary_verdict_is_invalid_for_an_unusable_surrogate():
 
 
 def test_measure_single_repetition_is_the_sample():
-    l = measure(1.0, 2.0, lambda: None, lambda: None, n_predictions=5, repetitions=1)
+    (l,) = measure(1.0, lambda: None, [(2.0, lambda: None)], n_predictions=5, repetitions=1)
     assert len(l.pr_samples) == 1
     assert l.t_pr == l.pr_samples[0]
     assert l.t_solve == l.solve_samples[0]
@@ -159,14 +159,14 @@ def test_measure_agrees_on_identical_stub_workloads():
     def stub():
         time.sleep(0.004)
 
-    first = measure(0.0, 0.0, stub, stub, n_predictions=1, repetitions=5)
-    second = measure(0.0, 0.0, stub, stub, n_predictions=1, repetitions=5)
+    (first,) = measure(0.0, stub, [(0.0, stub)], n_predictions=1, repetitions=5)
+    (second,) = measure(0.0, stub, [(0.0, stub)], n_predictions=1, repetitions=5)
     assert abs(first.t_pr - second.t_pr) < TIMING_JITTER_SECONDS
     assert abs(first.t_solve - second.t_solve) < TIMING_JITTER_SECONDS
 
 
 def test_measure_records_all_samples():
-    l = measure(0.0, 0.0, lambda: None, lambda: None, n_predictions=2, repetitions=4)
+    (l,) = measure(0.0, lambda: None, [(0.0, lambda: None)], n_predictions=2, repetitions=4)
     assert len(l.pr_samples) == 4
     assert len(l.solve_samples) == 4
     assert l.repetitions == 4
@@ -180,7 +180,7 @@ def test_measure_warms_the_solve_before_timing_it():
         if len(calls) == 1:
             time.sleep(0.05)
 
-    l = measure(0.0, 0.0, lambda: None, solve_slow_first, n_predictions=1, repetitions=3)
+    (l,) = measure(0.0, solve_slow_first, [(0.0, lambda: None)], n_predictions=1, repetitions=3)
     assert len(calls) == 4
     assert len(l.solve_samples) == 3
     assert l.cold_solve >= 0.05
@@ -189,11 +189,24 @@ def test_measure_warms_the_solve_before_timing_it():
     assert "cold_solve" not in summary(ledger(t_dg=1.0, t_nt=1.0, t_pr=0.1, t_solve=1.0))
 
 
+def test_measure_prices_every_model_against_one_timing_of_the_solve():
+    calls = []
+    models = [(2.0, lambda: calls.append("a")), (3.0, lambda: calls.append("b"))]
+    a, b = measure(1.0, lambda: calls.append("solve"), models, n_predictions=7, repetitions=3)
+    # One cold call and three timed calls per path: the solve once, then each model in order.
+    assert calls == ["solve"] * 4 + ["a"] * 4 + ["b"] * 4
+    assert a.solve_samples == b.solve_samples and len(a.solve_samples) == 3
+    assert (a.t_solve, a.cold_solve) == (b.t_solve, b.cold_solve)
+    assert (a.t_nt, b.t_nt) == (2.0, 3.0)
+    assert a.t_dg == b.t_dg == 1.0 and a.n_predictions == b.n_predictions == 7
+    assert len(a.pr_samples) == len(b.pr_samples) == 3
+
+
 @pytest.mark.parametrize("repetitions", [5, 4])
 def test_measure_takes_the_median_of_its_samples(repetitions):
     # The middle sample for an odd count, the mean of the two middle ones
     # for an even count.
-    l = measure(0.0, 0.0, lambda: None, lambda: None, n_predictions=1, repetitions=repetitions)
+    (l,) = measure(0.0, lambda: None, [(0.0, lambda: None)], n_predictions=1, repetitions=repetitions)
     for median, samples in ((l.t_pr, l.pr_samples), (l.t_solve, l.solve_samples)):
         s = sorted(samples)
         middle = s[2] if repetitions == 5 else (s[1] + s[2]) / 2
@@ -246,7 +259,7 @@ import poissonlab.cli
 from poissonlab import costs
 loaded = [name for name in ("statistics", "fractions", "decimal") if name in sys.modules]
 assert not loaded, f"importing the CLI loaded {loaded}"
-costs.summary(costs.measure(0.0, 0.0, lambda: None, lambda: None, n_predictions=1, repetitions=4))
+costs.summary(costs.measure(0.0, lambda: None, [(0.0, lambda: None)], n_predictions=1, repetitions=4)[0])
 assert "numpy.ma" not in sys.modules, "the ledger loaded numpy.ma"
 """
     src = Path(costs.__file__).resolve().parent.parent
@@ -256,8 +269,11 @@ assert "numpy.ma" not in sys.modules, "the ledger loaded numpy.ma"
 
 
 def test_measure_rejects_zero_repetitions():
+    calls = []
     with pytest.raises(ParameterError):
-        measure(0.0, 0.0, lambda: None, lambda: None, n_predictions=1, repetitions=0)
+        measure(0.0, lambda: calls.append("solve"), [(0.0, lambda: calls.append("predict"))],
+                n_predictions=1, repetitions=0)
+    assert calls == []
 
 
 def test_ledger_validation():

@@ -463,6 +463,9 @@ def test_evaluate_empty_test_split_reports_absent():
     assert report.rmse_test is None
     assert report.rmse_val is None
     assert report.rmse_train is not None
+    # Sensitivity and grid transfer are scored on the test split, never on train rows.
+    assert report.sensitivity_table == []
+    assert report.discretization_transfer is None
 
 
 def test_evaluate_rejects_empty_fresh_draws(linear_run):
