@@ -177,14 +177,8 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path) -> None:
     out.csv("sensitivity.csv", ("input_perturbation", "max_output_deviation"), eval_report.sensitivity_table)
 
     if run.data_curve is not None:
-        rows = run.data_curve
-        seed_means = []
-        for size in cfg.data_curve.sizes:
-            # A run whose test split is empty has no test RMSE to average.
-            scores = [r[2] for r in rows if r[0] == size and r[2] is not None]
-            seed_means.append({"n_samples": size, "rmse_test": float(np.mean(scores)) if scores else None})
-        out.json("data_curve.json", {"rows": rows, "seed_means": seed_means})
-        out.csv("data_curve.csv", ("n_samples", "seed", "rmse_test"), rows)
+        out.json("data_curve.json", run.data_curve)
+        out.csv("data_curve.csv", ("n_samples", "seed", "rmse_test"), run.data_curve["rows"])
 
     rows = [
         {"layer_sizes": c.model.mlp.layer_sizes, "transfers": c.model.mlp.transfers,

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .ann import TRANSFERS, TrainConfig
-from .costs import CostLedger
+from .costs import CostLedger, check_n_predictions
 from .errors import ConfigError, ParameterError
 from .pde import DEFAULT_N_NODES, PARAMETERS, PoissonProblem
 from .surrogate import SAMPLINGS, SPLIT_TAGS, ParameterSpace, check_split_ratios
@@ -189,6 +189,9 @@ class CostSpec:
     repetitions: int
     n_predictions: int
 
+    def __post_init__(self):
+        check_n_predictions(self.n_predictions)
+
 
 @dataclass(frozen=True)
 class OutputSpec:
@@ -274,6 +277,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for key, (attr, reader) in SECTIONS.items():
         if key in doc:
             setattr(cfg, attr, reader(doc[key], key))
+    # Each data-curve point samples the space at its own size.
+    if cfg.data_curve is not None and cfg.space is not None:
+        for i, size in enumerate(cfg.data_curve.sizes):
+            try:
+                replace(cfg.space, n_samples=size)
+            except ParameterError as exc:
+                raise ConfigError(f"data_curve.sizes[{i}]: {exc}") from exc
     return cfg
 
 

@@ -40,10 +40,17 @@ class CostLedger:
         for name in ("t_dg", "t_nt", "t_pr", "t_solve"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0")
-        if self.n_predictions < 0:
-            raise ParameterError("n_predictions must be >= 0")
+        check_n_predictions(self.n_predictions)
         if self.repetitions < 1:
             raise ParameterError("repetitions must be >= 1")
+
+
+def check_n_predictions(n: int) -> None:
+    """ParameterError unless 0 <= n <= _LARGEST_N, the largest N `total_time` can price."""
+    if n < 0:
+        raise ParameterError("n_predictions must be >= 0")
+    if n > _LARGEST_N:  # not formatted: float(n) overflows
+        raise ParameterError(f"n_predictions must be at most the largest float, {sys.float_info.max:g}")
 
 
 def total_time(ledger: CostLedger, n_predictions: int | None = None) -> float:

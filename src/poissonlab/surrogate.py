@@ -70,10 +70,17 @@ class ParameterSpace:
             raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.sampling not in SAMPLINGS:
             raise ParameterError(f"sampling must be one of {SAMPLINGS}, got {self.sampling!r}")
+        if self.sampling == "grid" and self.grid_side ** len(PARAMETERS) != self.n_samples:
+            raise ParameterError(f"grid sampling needs a perfect-cube n_samples, got {self.n_samples}")
 
     @property
     def ranges(self) -> tuple:
         return tuple(getattr(self, f"{p}_range") for p in PARAMETERS)
+
+    @property
+    def grid_side(self) -> int:
+        """Points per axis of a grid of n_samples rows, rounded; math.log reads ints past the float range."""
+        return round(math.exp(math.log(self.n_samples) / len(PARAMETERS)))
 
 
 @dataclass
@@ -122,20 +129,11 @@ def _seeded_draws(ranges, count: int, seed: int, *branch: int) -> np.ndarray:
 
 
 def sample_inputs(space: ParameterSpace) -> np.ndarray:
-    """(n_samples, len(PARAMETERS)) parameter rows, uniform per-sample or a cube grid.
-
-    Grid sampling requires n_samples to be a perfect cube and lays the
-    samples out as the cartesian product of per-axis linspaces.
-    """
+    """(n_samples, len(PARAMETERS)) parameter rows, uniform per-sample or a cube
+    grid: the cartesian product of per-axis linspaces."""
     if space.sampling == "uniform_random":
         return _seeded_draws(space.ranges, space.n_samples, space.master_seed, _BRANCH_GENERATE)
-    width = len(space.ranges)
-    per_axis = round(space.n_samples ** (1.0 / width))
-    if per_axis**width != space.n_samples:
-        raise ParameterError(
-            f"grid sampling needs a perfect-cube n_samples, got {space.n_samples}"
-        )
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in space.ranges]
+    axes = [np.linspace(lo, hi, space.grid_side) for lo, hi in space.ranges]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.reshape(-1) for m in mesh])
 
@@ -313,13 +311,16 @@ def _rmse(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def _split_rmse(model: SurrogateModel, dataset: SurrogateDataset, tag: str) -> float | None:
-    """RMSE over one split's rows, or None when the split is empty."""
-    rows = dataset.rows_for(tag)
-    if not rows.size:
-        return None
-    with _scoring():
-        return _rmse(model.predict(dataset.inputs[rows]), dataset.outputs[rows])
+def _split_rmses(predictions: np.ndarray, dataset: SurrogateDataset) -> dict:
+    """{split tag: RMSE over its rows, or None when it is empty} of the predictions of every row."""
+    # One array of squared errors serves every split, and one split's row indices are held
+    # at a time, so less is held above the reference solves.
+    squares = predictions - dataset.outputs
+    squares *= squares
+    return {
+        tag: float(np.sqrt(np.mean(squares[rows]))) if rows.size else None
+        for tag in SPLIT_TAGS for rows in [dataset.rows_for(tag)]
+    }
 
 
 def scaled_space(space: ParameterSpace, multiplier: float) -> ParameterSpace:
@@ -377,14 +378,7 @@ def evaluate(
     fresh, tests, fine_truth = reference or eval_reference(dataset, space, extrap_multipliers, n_fresh, seed)
     with _scoring():
         predictions = model.predict(dataset.inputs)
-
-        # One array of squared errors serves every split, so less is held above the reference solves.
-        squares = predictions - dataset.outputs
-        squares *= squares
-        by_split = {}
-        for tag in SPLIT_TAGS:
-            rows = dataset.rows_for(tag)
-            by_split[tag] = float(np.sqrt(np.mean(squares[rows]))) if rows.size else None
+        by_split = _split_rmses(predictions, dataset)
 
         ends = np.abs(predictions[:, [0, -1]] - dataset.outputs[:, [0, -1]])
         bc_violation_mean = float(np.mean(0.5 * (ends[:, 0] + ends[:, 1])))
@@ -416,33 +410,6 @@ def evaluate(
     )
 
 
-def data_requirement_curve(
-    space: ParameterSpace,
-    n_nodes: int,
-    sizes,
-    seeds,
-    layer_sizes,
-    cfg: ann.TrainConfig,
-    ratios=(0.8, 0.1, 0.1),
-    transfers=None,
-) -> list:
-    """Test RMSE as a function of sample count, one row per (size, seed).
-
-    Each run regenerates, splits and trains from scratch with the
-    master seed replaced by the sweep seed. Rows are (n_samples, seed,
-    rmse_test); rmse_test is None when the run's test split is empty.
-    """
-    rows = []
-    for size in sizes:
-        for seed in seeds:
-            sub_space = replace(space, n_samples=int(size), master_seed=int(seed))
-            dataset = generate_dataset(sub_space, n_nodes)
-            dataset = split_dataset(dataset, ratios, seed=int(seed))
-            model, _ = train_surrogate(dataset, layer_sizes, cfg, transfers=transfers)
-            rows.append((int(size), int(seed), _split_rmse(model, dataset, "test")))
-    return rows
-
-
 def architecture_sweep(dataset: SurrogateDataset, layouts, cfg: ann.TrainConfig) -> list:
     """Train one model per (layer sizes, transfers) layout; a list of (SurrogateModel, TrainReport)."""
     return [train_surrogate(dataset, layer_sizes, cfg, transfers) for layer_sizes, transfers in layouts]
@@ -452,6 +419,33 @@ def sweep_layouts(cfg: ExperimentConfig) -> list:
     """(layer sizes, default transfers) of each `arch_sweep` entry, in config order."""
     n_in, *_, n_out = cfg.arch.layer_sizes(cfg.n_nodes)
     return [((n_in, *h, n_out), ann.default_transfers((n_in, *h, n_out))) for h in cfg.arch_sweep or ()]
+
+
+def fit(cfg: ExperimentConfig) -> tuple:
+    """The one retrain-from-scratch path: (SurrogateDataset, SurrogateModel, TrainReport)
+    of the configured data, split with `split.seed`, and the configured layout trained on it."""
+    dataset = split_dataset(generate_dataset(cfg.space, cfg.n_nodes), cfg.split_ratios, seed=cfg.split_seed)
+    model, report = train_surrogate(dataset, cfg.arch.layer_sizes(cfg.n_nodes), cfg.train, cfg.arch.transfer_tags())
+    return dataset, model, report
+
+
+def data_requirement_curve(cfg: ExperimentConfig) -> dict:
+    """Test RMSE against sample count: {"rows": (n_samples, seed, rmse_test) per point,
+    "seed_means": per size, the mean of its rows that have a test RMSE}. Each point is
+    `fit` at that size with the master and split seeds set to the seed, scored as
+    `evaluate` scores; None stands for an empty test split."""
+    rows = []
+    for size in cfg.data_curve.sizes:
+        for seed in cfg.data_curve.seeds:
+            space = replace(cfg.space, n_samples=size, master_seed=seed)
+            dataset, model, _ = fit(replace(cfg, space=space, split=replace(cfg.split, seed=seed)))
+            with _scoring():
+                rows.append((size, seed, _split_rmses(model.predict(dataset.inputs), dataset)["test"]))
+    seed_means = []
+    for size in cfg.data_curve.sizes:
+        scores = [rmse for n, _, rmse in rows if n == size and rmse is not None]
+        seed_means.append({"n_samples": size, "rmse_test": float(np.mean(scores)) if scores else None})
+    return {"rows": rows, "seed_means": seed_means}
 
 
 @dataclass
@@ -468,32 +462,29 @@ class Candidate:
 class SurrogateRun:
     """Everything one `poissonlab surrogate` run computes, ready to write.
 
-    `candidates` holds the configured net first, then each `arch_sweep`
-    layout not already among them; `data_curve` holds that stage's rows,
-    or None when the config omits it.
+    `candidates` holds the configured net first, then each `arch_sweep` layout not
+    already among them; `data_curve` is `data_requirement_curve(cfg)`, or None without one.
     """
 
     dataset: SurrogateDataset
     candidates: tuple
-    data_curve: list | None
+    data_curve: dict | None
 
 
 def run(cfg: ExperimentConfig) -> SurrogateRun:
     """Generate, split, train, evaluate and price every candidate; no file I/O.
 
-    Every candidate is trained by `train_surrogate`, scored by `evaluate`
-    against one set of reference solves, and priced on the first
-    sample's problem by one `costs.measure` call, which times its
-    `solve_fdm` once and each candidate's prediction of it. The data curve
-    runs last, out of the ledgers' timings.
+    The configured net comes from `fit`, the sweep's from `architecture_sweep`.
+    Every candidate is scored by `evaluate` against one set of reference
+    solves, and priced on the first sample's problem by one `costs.measure`
+    call, which times its `solve_fdm` once and each candidate's prediction
+    of it. The data curve runs last, out of the ledgers' timings.
     """
     cfg.require("space", "arch", "train", "split", "eval", "costs")
     space, spec = cfg.space, cfg.eval_spec
-    dataset = split_dataset(generate_dataset(space, cfg.n_nodes), cfg.split_ratios, seed=cfg.split_seed)
-    configured = (cfg.arch.layer_sizes(cfg.n_nodes), cfg.arch.transfer_tags())
-    layouts = list(dict.fromkeys([configured, *sweep_layouts(cfg)]))
-    trained = [train_surrogate(dataset, configured[0], cfg.train, configured[1])]
-    trained += architecture_sweep(dataset, layouts[1:], cfg.train)
+    dataset, model, report = fit(cfg)
+    layouts = dict.fromkeys([(model.mlp.layer_sizes, model.mlp.transfers), *sweep_layouts(cfg)])
+    trained = [(model, report), *architecture_sweep(dataset, list(layouts)[1:], cfg.train)]
     reference = eval_reference(dataset, space, spec.multipliers, spec.n_fresh, spec.seed)
     evals = [
         evaluate(model, dataset, space, spec.multipliers, spec.perturbations, reference=reference)
@@ -513,8 +504,5 @@ def run(cfg: ExperimentConfig) -> SurrogateRun:
         for (m, r), e, l in zip(trained, evals, ledgers)
     )
 
-    curve = None if cfg.data_curve is None else data_requirement_curve(
-        space, cfg.n_nodes, cfg.data_curve.sizes, cfg.data_curve.seeds, configured[0],
-        cfg.train, ratios=cfg.split_ratios, transfers=configured[1],
-    )
+    curve = None if cfg.data_curve is None else data_requirement_curve(cfg)
     return SurrogateRun(dataset, candidates, curve)

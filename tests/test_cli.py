@@ -19,7 +19,7 @@ import poissonlab
 from poissonlab import costs, surrogate
 from poissonlab.cli import main
 from poissonlab.config import load_config, parse_config
-from poissonlab.errors import ConfigError
+from poissonlab.errors import ConfigError, ParameterError
 from poissonlab.fileio import read_json, sha256_file, write_json
 
 SPACE = {
@@ -268,9 +268,20 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
          "split: ratios must sum to 1"),
         ("surrogate", "configs/surrogate_minimal.json", "split", "ratios", [1.2, -0.1, -0.1],
          "split: ratios must be one non-negative number per split"),
+        # An N beyond the float range cannot be priced: N * t_pr overflows.
+        ("surrogate", "configs/surrogate_minimal.json", "costs", "n_predictions", 10**400,
+         "costs: n_predictions must be at most the largest float"),
+        ("breakeven", "configs/breakeven_demo.json", "ledger", "n_predictions", 10**400,
+         "ledger: n_predictions must be at most the largest float"),
+        ("surrogate", "configs/surrogate_minimal.json", None, "space", dict(SPACE, sampling="grid"),
+         "space: grid sampling needs a perfect-cube n_samples, got 16"),
+        # The config's 64 samples are a 4 x 4 x 4 grid; its data curve's 16 are none.
+        ("surrogate", "configs/surrogate_minimal.json", "space", "sampling", "grid",
+         "data_curve.sizes[1]: grid sampling needs a perfect-cube n_samples, got 16"),
     ],
     ids=["n_fresh-0", "repetitions-0", "n_predictions-negative", "curve-size-0", "regression-n-1",
-         "multiplier-negative", "n_nodes-2", "ratios-sum", "ratios-negative"],
+         "multiplier-negative", "n_nodes-2", "ratios-sum", "ratios-negative", "n_predictions-huge",
+         "ledger-n_predictions-huge", "grid-not-a-cube", "curve-grid-size-not-a-cube"],
 )
 def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, section, key, value, message):
     doc = json.loads(Path(source).read_text())
@@ -406,16 +417,19 @@ def test_surrogate_run_returns_what_the_cli_writes(surrogate_run, tmp_path):
     assert {k: returned[k] for k in untimed} == {k: written[k] for k in untimed}
 
 
-def test_failed_surrogate_run_writes_nothing(tmp_path, capsys):
-    # Grid sampling needs a perfect-cube sample count, so the data curve's
-    # second size fails after the main model is trained and evaluated.
+def test_failed_surrogate_run_writes_nothing(tmp_path, capsys, monkeypatch):
+    # The data curve runs last, after the main model is trained, evaluated
+    # and priced; a failure there still leaves --out empty.
+    def failing_curve(cfg):
+        raise ParameterError("the data curve failed")
+
+    monkeypatch.setattr(surrogate, "data_requirement_curve", failing_curve)
     doc = json.loads(json.dumps(SURROGATE_DOC))
-    doc["space"].update({"sampling": "grid", "n_samples": 8})
-    doc["data_curve"] = {"sizes": [8, 9], "seeds": [0]}
+    doc["data_curve"] = {"sizes": [8], "seeds": [0]}
     doc["train"]["max_epochs"] = 50
     out = tmp_path / "out"
     assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
-    assert "perfect-cube" in capsys.readouterr().err
+    assert "the data curve failed" in capsys.readouterr().err
     assert list(out.glob("*")) == []
 
 
@@ -542,6 +556,21 @@ def test_report_names_the_data_curve_file_a_json_run_wrote(tmp_path, capsys):
     q7 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q7"))
     named = re.findall(r"data_curve\.\w+", q7)
     assert named and all((run / name).exists() for name in named)
+
+
+def test_data_curve_point_of_the_runs_own_fit_has_its_test_rmse_bits(tmp_path):
+    # One model scored on one test row: the curve's only point is the same
+    # fit as the run's model, so both files hold the same test RMSE.
+    doc = json.loads(Path("configs/surrogate_tanh.json").read_text())
+    doc["space"].update({"n_samples": 16, "master_seed": 1})
+    doc["split"]["seed"] = 1
+    del doc["arch_sweep"]
+    doc["data_curve"] = {"sizes": [16], "seeds": [1]}
+    run = tmp_path / "run"
+    assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(run)]) == 0
+    rmse = read_json(run / "eval_report.json")["rmse_test"]
+    assert rmse is not None
+    assert read_json(run / "data_curve.json")["rows"] == [[16, 1, rmse]]
 
 
 def test_data_curve_scores_only_the_test_split(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from poissonlab import surrogate
 from poissonlab.ann import MlpModel, TrainConfig, init_mlp
+from poissonlab.config import ArchSpec, DataCurveSpec, ExperimentConfig, SplitSpec
 from poissonlab.errors import ParameterError, ShapeError
 from poissonlab.pde import PARAMETERS, PoissonProblem, fdm_values, solve_analytic, solve_fdm
 from poissonlab.surrogate import (
@@ -109,19 +110,19 @@ def test_parameter_columns_follow_the_solver_and_the_space():
 
 
 def test_generate_grid_requires_perfect_cube():
-    space = linear_space(n_samples=10)
-    space = ParameterSpace(
-        g_range=space.g_range,
-        y0_range=space.y0_range,
-        y1_range=space.y1_range,
-        x0=0.0,
-        x1=1.0,
-        sampling="grid",
-        n_samples=10,
-        master_seed=0,
-    )
-    with pytest.raises(ParameterError):
-        sample_inputs(space)
+    # The space rejects the count itself, before anything is sampled.
+    space = linear_space(n_samples=27)
+    with pytest.raises(ParameterError, match="perfect-cube n_samples, got 10"):
+        ParameterSpace(
+            g_range=space.g_range,
+            y0_range=space.y0_range,
+            y1_range=space.y1_range,
+            x0=0.0,
+            x1=1.0,
+            sampling="grid",
+            n_samples=10,
+            master_seed=0,
+        )
 
 
 def test_generate_rejects_tiny_grid_by_name():
@@ -494,12 +495,14 @@ def test_data_curve_rmse_non_increasing_on_seed_average():
     # Fixed epoch budget, no early stop: sample count then governs how
     # fast the quadratic modes contract, so more data means lower error.
     # Half of every size is test rows, so each point is a test RMSE.
-    space = linear_space(n_samples=64)
-    cfg = quick_train_config(stop_tolerance=1e-30, max_epochs=400)
-    rows = data_requirement_curve(
-        space, 21, sizes=(8, 16, 32), seeds=(0, 1, 2, 3, 4), layer_sizes=(3, 21),
-        cfg=cfg, ratios=(0.5, 0.0, 0.5), transfers=("purelin",),
+    cfg = ExperimentConfig(
+        raw={}, n_nodes=21, space=linear_space(n_samples=64),
+        train=quick_train_config(stop_tolerance=1e-30, max_epochs=400),
+        split=SplitSpec(ratios=(0.5, 0.0, 0.5), seed=0),
+        arch=ArchSpec(hidden=(), output_transfer="purelin"),
+        data_curve=DataCurveSpec(sizes=(8, 16, 32), seeds=(0, 1, 2, 3, 4)),
     )
+    rows = data_requirement_curve(cfg)["rows"]
     assert all(rmse is not None for _, _, rmse in rows)
     means = [
         np.mean([rmse for size, _, rmse in rows if size == target])
