@@ -72,8 +72,8 @@ class _Artifacts:
         self.json("train_report.json", report, deterministic=False)
         self.csv("loss.csv", ("epoch", "loss"), enumerate(report.loss_history, start=1))
 
-    def manifest(self, config_doc: dict, seeds: dict, timings: dict) -> None:
-        write_manifest(self.out_dir, config_doc, seeds=seeds, timings=timings, files=self.files)
+    def manifest(self, config_doc: dict, timings: dict) -> None:
+        write_manifest(self.out_dir, config_doc, timings=timings, files=self.files)
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> None:
@@ -91,7 +91,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> None:
             for x, y in zip(analytic.nodes, analytic.values)
         )
     out.csv("figure1.csv", ("series", "g", "y0", "y1", "x", "y"), combined)
-    out.manifest(cfg.raw, seeds={}, timings={})
+    out.manifest(cfg.raw, timings={})
     print(f"wrote {len(out.files)} solution files to {out_dir}")
 
 
@@ -111,7 +111,7 @@ def cmd_fit(cfg: ExperimentConfig, out_dir: Path) -> None:
         ("x", "y_true", "y_fit"),
         zip(line_x, r.true_w * line_x + r.true_b, model.predict(line_x)),
     )
-    out.manifest(cfg.raw, seeds={"regression_seed": r.seed}, timings={})
+    out.manifest(cfg.raw, timings={})
     print(f"fitted w={model.w:.6g} b={model.b:.6g}; artifacts in {out_dir}")
 
 
@@ -137,11 +137,7 @@ def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path) -> None:
 
     out = _Artifacts(out_dir)
     out.training(trained, report)
-    out.manifest(
-        cfg.raw,
-        seeds={"regression_seed": r.seed, "init_seed": cfg.train.init_seed},
-        timings={"t_nt": report.wall_time},
-    )
+    out.manifest(cfg.raw, timings={"t_nt": report.wall_time})
     print(
         f"training stopped after {report.epochs_run} epochs ({report.stop_reason}); "
         f"artifacts in {out_dir}"
@@ -164,7 +160,7 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path) -> None:
         "dataset.json",
         {
             "grid": dataset.grid,
-            "seeds": dataset.seeds,
+            "seeds": {"master_seed": cfg.space.master_seed, "split_seed": cfg.split_seed},
             "sampling": cfg.space.sampling,
             "n_samples": dataset.n_samples,
             "n_nodes": cfg.n_nodes,
@@ -197,19 +193,8 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path) -> None:
         out.json("arch_sweep.json", {"rows": rows}, deterministic=False)
 
     out.json("cost_ledger.json", verdict, deterministic=False)
-    out.manifest(
-        cfg.raw,
-        seeds={
-            "master_seed": cfg.space.master_seed,
-            "split_seed": cfg.split_seed,
-            "init_seed": cfg.train.init_seed,
-            "eval_seed": cfg.eval_spec.seed,
-        },
-        timings={
-            key: verdict[key]
-            for key in ("t_dg", "t_nt", "t_pr", "t_solve", "total_time", "break_even")
-        },
-    )
+    timings = {key: verdict[key] for key in ("t_dg", "t_nt", "t_pr", "t_solve", "total_time", "break_even")}
+    out.manifest(cfg.raw, timings=timings)
     rmse = eval_report.rmse_test
     print(
         f"surrogate run complete: test RMSE "
@@ -223,7 +208,7 @@ def cmd_breakeven(cfg: ExperimentConfig, out_dir: Path) -> None:
     verdict = costs.summary(cfg.ledger)
     out = _Artifacts(out_dir)
     out.json("breakeven.json", verdict)
-    out.manifest(cfg.raw, seeds={}, timings={})
+    out.manifest(cfg.raw, timings={})
     print(f"break-even N : {verdict['break_even']}")
     print(f"total time at N={verdict['n_predictions']}: {verdict['total_time']:.6g} s")
 

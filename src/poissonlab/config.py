@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -70,7 +71,6 @@ def _at_least(minimum: float):
     return read
 
 
-_integer = _at_least(-math.inf)
 _width = _at_least(1)
 # `override_seeds` replaces the value of every key read by `_seed`.
 _seed = _at_least(0)
@@ -212,11 +212,11 @@ SECTIONS = {
         AnnSpec, layer_sizes=_list_of(_width, min_len=2), transfers=_list_of(_transfer),
         init_weights=_list_of(_list_of(_list_of(_number))), init_biases=_list_of(_list_of(_number)))),
     "train": ("train", _Section(
-        TrainConfig, learning_rate=_number, stop_tolerance=_number, max_epochs=_integer,
+        TrainConfig, learning_rate=_number, stop_tolerance=_number, max_epochs=_width,
         init_seed=_seed)),
     "space": ("space", _Section(
         ParameterSpace, **{f"{p}_range": _interval for p in PARAMETERS}, x0=_number,
-        x1=_number, sampling=_one_of(*SAMPLINGS), n_samples=_integer, master_seed=_seed)),
+        x1=_number, sampling=_one_of(*SAMPLINGS), n_samples=_width, master_seed=_seed)),
     "split": ("split", _Section(
         SplitSpec, ratios=_list_of(_number, len(SPLIT_TAGS), len(SPLIT_TAGS)), seed=_seed)),
     "arch": ("arch", _Section(
@@ -231,7 +231,7 @@ SECTIONS = {
     "costs": ("cost_spec", _Section(CostSpec, repetitions=_width, n_predictions=_at_least(0))),
     "ledger": ("ledger", _Section(
         CostLedger, t_dg=_number, t_nt=_number, t_pr=_number, t_solve=_number,
-        n_predictions=_integer)),
+        n_predictions=_at_least(0))),
     "output": ("output", _Section(OutputSpec, directory=_text)),
 }
 
@@ -271,11 +271,29 @@ class ExperimentConfig:
                 raise ConfigError(f"config is missing the required `{key}` section")
 
 
+# The count in each section that sizes a (count, n_nodes) float64 array;
+# `SECTIONS` puts n_nodes before these sections.
+_ROW_COUNTS = {"space": "n_samples", "data_curve": "sizes", "eval": "n_fresh"}
+
+
+def _check_row_counts(section, key: str, n_nodes: int) -> None:
+    """Reject a count whose array numpy cannot shape (over sys.maxsize bytes) before the section
+    is built, as `ParameterSpace` takes its cube root; other kinds are left to the reader."""
+    name = _ROW_COUNTS.get(key)
+    value = section.get(name) if isinstance(section, dict) else None
+    limit = sys.maxsize // (8 * n_nodes)
+    for i, count in enumerate(value if isinstance(value, list) else [value]):
+        if isinstance(count, int) and count > limit:
+            path = f"{key}.{name}" + (f"[{i}]" if isinstance(value, list) else "")
+            raise ConfigError(f"{path}: must be <= {limit}, the most rows of {n_nodes} floats numpy can shape")
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     _check_keys(doc, "config", SECTIONS, ())
     cfg = ExperimentConfig(raw=doc)
     for key, (attr, reader) in SECTIONS.items():
         if key in doc:
+            _check_row_counts(doc[key], key, cfg.n_nodes)
             setattr(cfg, attr, reader(doc[key], key))
     # Each data-curve point samples the space at its own size.
     if cfg.data_curve is not None and cfg.space is not None:
@@ -297,6 +315,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8 text
         raise ConfigError(f"{path}: cannot read as UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # such as an integer literal past Python's 4,300-digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return parse_config(doc)
 
 

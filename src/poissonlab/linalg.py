@@ -112,10 +112,6 @@ class TridiagonalSystem:
         if self.rhs.ndim not in (1, 2) or self.rhs.shape[0] != n:
             raise ShapeError(f"rhs must have shape ({n},) or ({n}, batch), got {self.rhs.shape}")
 
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
-
 
 @functools.lru_cache(maxsize=4)
 def _eliminate(sub: bytes, diag: bytes, sup: bytes) -> tuple:

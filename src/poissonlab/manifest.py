@@ -1,5 +1,6 @@
-"""Run manifests: config snapshot, machine descriptor, seeds, timings,
-and a digest inventory of every file a command wrote.
+"""Run manifests: config snapshot (the run's one record of its seeds, as
+`--seed` wrote them), machine descriptor, timings, and a digest inventory
+of every file a command wrote.
 
 Files flagged deterministic must hash identically across reruns with
 the same config; timing-bearing files (train report, cost ledger, the
@@ -51,14 +52,13 @@ def file_entry(out_dir: Path, name: str, deterministic: bool) -> dict:
     }
 
 
-def write_manifest(out_dir, config_doc: dict, seeds: dict, timings: dict, files: list) -> Path:
+def write_manifest(out_dir, config_doc: dict, timings: dict, files: list) -> Path:
     """files is a list of (name, deterministic) pairs already on disk."""
     out_dir = Path(out_dir)
     doc = {
         "tool": {"name": TOOL_NAME, "version": __version__},
         "machine": machine_descriptor(),
         "config": config_doc,
-        "seeds": seeds,
         "timings": timings,
         "files": [file_entry(out_dir, name, det) for name, det in files],
     }

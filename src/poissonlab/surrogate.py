@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -92,7 +92,6 @@ class SurrogateDataset:
     grid: np.ndarray
     split: list
     generation_time: float = 0.0
-    seeds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.inputs = as_matrix(self.inputs)
@@ -157,7 +156,6 @@ def generate_dataset(space: ParameterSpace, n_nodes: int) -> SurrogateDataset:
         grid=np.linspace(space.x0, space.x1, n_nodes),
         split=["train"] * space.n_samples,
         generation_time=time.perf_counter() - started,
-        seeds={"master_seed": int(space.master_seed)},
     )
 
 
@@ -191,7 +189,7 @@ def split_dataset(dataset: SurrogateDataset, ratios, seed: int) -> SurrogateData
             split[row] = "val"
         else:
             split[row] = "test"
-    return replace(dataset, split=split, seeds={**dataset.seeds, "split_seed": int(seed)})
+    return replace(dataset, split=split)
 
 
 @dataclass

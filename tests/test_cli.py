@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import poissonlab
 from poissonlab import costs, surrogate
 from poissonlab.cli import main
-from poissonlab.config import load_config, parse_config
+from poissonlab.config import SECTIONS, load_config, override_seeds, parse_config
 from poissonlab.errors import ConfigError, ParameterError
 from poissonlab.fileio import read_json, sha256_file, write_json
 
@@ -214,6 +214,9 @@ PROBLEM_JSON = b'{"problems": [{"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1":
     [
         (["solve", "--config", "{tmp}"], {}, 2, "cannot read"),
         (["solve", "--config", "{tmp}/c.json"], {"c.json": b'{"n_nodes": \xff}'}, 2, "cannot read"),
+        # json.loads reads no integer literal of more than 4,300 digits.
+        (["solve", "--config", "{tmp}/c.json"], {"c.json": b'{"n_nodes": ' + b"9" * 5000 + b"}"}, 2,
+         "{tmp}/c.json: invalid JSON"),
         (["solve", "--config", "{tmp}/c.json", "--out", "{tmp}/taken"],
          {"c.json": PROBLEM_JSON, "taken": b""}, 2, "output directory"),
         (["report", "--run", "{tmp}"], {"manifest.json": b'{"files": '}, 4, "not a JSON document"),
@@ -235,8 +238,8 @@ PROBLEM_JSON = b'{"problems": [{"g": 0.0, "x0": 0.0, "x1": 1.0, "y0": 0.0, "y1":
         (["report", "--run", "{tmp}"], {"manifest.json": b'{"config": {"space": []}}', "cost_ledger.json": b"{}"},
          4, "a run file in {tmp} holds a value of the wrong kind"),
     ],
-    ids=["config-is-a-directory", "config-not-utf8", "out-is-a-file", "manifest-invalid-json",
-         "manifest-not-an-object", "artifact-invalid-json", "artifact-not-an-object",
+    ids=["config-is-a-directory", "config-not-utf8", "config-integer-too-long", "out-is-a-file",
+         "manifest-invalid-json", "manifest-not-an-object", "artifact-invalid-json", "artifact-not-an-object",
          "manifest-config-not-an-object", "manifest-machine-not-an-object",
          "manifest-train-lacks-a-key", "ledger-lacks-a-key", "manifest-train-not-an-object",
          "ledger-time-not-a-number", "manifest-space-not-an-object"],
@@ -278,10 +281,24 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
         # The config's 64 samples are a 4 x 4 x 4 grid; its data curve's 16 are none.
         ("surrogate", "configs/surrogate_minimal.json", "space", "sampling", "grid",
          "data_curve.sizes[1]: grid sampling needs a perfect-cube n_samples, got 16"),
+        ("surrogate", "configs/surrogate_minimal.json", "space", "n_samples", 0, "space.n_samples: must be >= 1"),
+        ("surrogate", "configs/surrogate_minimal.json", "train", "max_epochs", 0, "train.max_epochs: must be >= 1"),
+        ("breakeven", "configs/breakeven_demo.json", "ledger", "n_predictions", -1,
+         "ledger.n_predictions: must be >= 0"),
+        # numpy cannot shape a (count, n_nodes) array of floats past sys.maxsize bytes.
+        ("surrogate", "configs/surrogate_minimal.json", "space", "n_samples", 10**20,
+         f"space.n_samples: must be <= {sys.maxsize // (8 * 101)}, the most rows of 101 floats numpy can shape"),
+        ("surrogate", "configs/surrogate_minimal.json", "space", "n_samples", 10**400, "space.n_samples: must be <="),
+        # Rejected before ParameterSpace takes the count's cube root, which overflows a float.
+        ("surrogate", "configs/surrogate_minimal.json", None, "space",
+         dict(SPACE, sampling="grid", n_samples=10**1000), "space.n_samples: must be <="),
+        ("surrogate", "configs/surrogate_minimal.json", "eval", "n_fresh", 10**20, "eval.n_fresh: must be <="),
     ],
     ids=["n_fresh-0", "repetitions-0", "n_predictions-negative", "curve-size-0", "regression-n-1",
          "multiplier-negative", "n_nodes-2", "ratios-sum", "ratios-negative", "n_predictions-huge",
-         "ledger-n_predictions-huge", "grid-not-a-cube", "curve-grid-size-not-a-cube"],
+         "ledger-n_predictions-huge", "grid-not-a-cube", "curve-grid-size-not-a-cube", "n_samples-0",
+         "max_epochs-0", "ledger-n_predictions-negative", "n_samples-1e20", "n_samples-1e400",
+         "grid-n_samples-1e1000", "n_fresh-1e20"],
 )
 def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, section, key, value, message):
     doc = json.loads(Path(source).read_text())
@@ -442,15 +459,21 @@ def test_surrogate_manifest_lists_every_file(surrogate_run):
         assert sha256_file(surrogate_run / entry["name"]) == entry["sha256"]
 
 
-def test_surrogate_manifest_records_seeds(surrogate_run):
-    manifest = read_json(surrogate_run / "manifest.json")
-    assert manifest["seeds"] == {
-        "master_seed": 7,
-        "split_seed": 3,
-        "init_seed": 0,
-        "eval_seed": 11,
+def test_surrogate_manifest_records_seeds(tmp_path):
+    # The config snapshot is the run's one record of its seeds.
+    config_path = write_config(tmp_path, SURROGATE_DOC)
+    out = tmp_path / "run"
+    assert main(["surrogate", "--config", str(config_path), "--out", str(out), "--seed", "5"]) == 0
+    manifest = read_json(out / "manifest.json")
+    assert "seeds" not in manifest
+    assert manifest["config"] == override_seeds(SURROGATE_DOC, 5)
+    seed_keys = {
+        f"{key}.{name}": manifest["config"][key][name]
+        for key, (_, reader) in SECTIONS.items() if key in manifest["config"]
+        for name in getattr(reader, "seed_keys", ())
     }
-    assert manifest["config"] == SURROGATE_DOC
+    assert seed_keys == dict.fromkeys(["train.init_seed", "space.master_seed", "split.seed", "eval.seed"], 5)
+    assert read_json(out / "dataset.json")["seeds"] == {"master_seed": 5, "split_seed": 5}
 
 
 def test_machine_descriptor_starts_no_child_process():

@@ -5,8 +5,10 @@ renders as the ten-question report."""
 import copy
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from poissonlab.cli import main
@@ -99,6 +101,27 @@ def test_seed_override_replaces_exactly_the_seed_keys():
     cfg = parse_config(out)
     assert (cfg.regression.seed, cfg.train.init_seed, cfg.space.master_seed) == (99, 99, 99)
     assert (cfg.split_seed, cfg.eval_spec.seed) == (99, 99)
+
+
+def test_row_count_limit_is_the_largest_array_numpy_can_shape():
+    # A zero-stride view shapes the (count, n_nodes) array without allocating it.
+    base = json.loads((ROOT / "configs" / "surrogate_minimal.json").read_text())
+    n_nodes = base["n_nodes"]
+    limit = sys.maxsize // (8 * n_nodes)
+    np.ndarray((limit, n_nodes), buffer=np.zeros(1), strides=(0, 0))
+    with pytest.raises(ValueError, match="array is too big"):
+        np.ndarray((limit + 1, n_nodes), buffer=np.zeros(1), strides=(0, 0))
+    for path, set_count in (
+        ("space.n_samples", lambda doc, n: doc["space"].update(n_samples=n)),
+        ("eval.n_fresh", lambda doc, n: doc["eval"].update(n_fresh=n)),
+        (r"data_curve.sizes\[1\]", lambda doc, n: doc["data_curve"].update(sizes=[8, n])),
+    ):
+        doc = copy.deepcopy(base)
+        set_count(doc, limit)
+        parse_config(doc)
+        set_count(doc, limit + 1)
+        with pytest.raises(ConfigError, match=rf"^{path}: must be <= {limit},"):
+            parse_config(doc)
 
 
 def test_every_config_key_is_set_by_a_digested_config():
