@@ -13,7 +13,10 @@ that follow from them).
 For each surrogate run it also digests the saved model's predictions
 on a fixed seeded block of 64 parameter rows drawn from the config's
 ranges: 64 stacked one-row `predict` calls, the path the ledger's
-`t_pr` times, and one batch call.
+`t_pr` times, and one batch call. A further 1,000 rows drawn next from
+the same stream are digested as one batch call, which takes the forward
+pass's path for batches of 128 rows or more (15 whole blocks of 64 rows
+and a 40-row tail).
 
 The variants are edits of `configs/surrogate_tanh.json`, each
 written as a temporary config and listed under its own key. With
@@ -91,24 +94,28 @@ def digest_configs():
         yield f"{VARIANT_BASE} {section}.{key}={value}", config
 
 
-# The seed and size of the block of queries a saved surrogate answers.
-PREDICT_SEED, PREDICT_ROWS = 0, 64
+# The seed and size of the block of queries a saved surrogate answers,
+# and the size of the large batch drawn after it.
+PREDICT_SEED, PREDICT_ROWS, LARGE_BATCH_ROWS = 0, 64, 1000
 
 
 def digest_predictions(config: dict, model_path: Path) -> dict:
-    """Digests of a saved surrogate's one-row and batch predictions on the query block."""
+    """Digests of a saved surrogate's one-row and batch predictions on the
+    query block, and of its batch prediction on the large batch."""
     model = SurrogateModel.from_dict(json.loads(model_path.read_text(encoding="utf-8")))
     ranges = np.array(parse_config(config).space.ranges)
-    block = np.random.default_rng(PREDICT_SEED).uniform(
-        ranges[:, 0], ranges[:, 1], size=(PREDICT_ROWS, len(ranges))
-    )
+    rng = np.random.default_rng(PREDICT_SEED)
+    block = rng.uniform(ranges[:, 0], ranges[:, 1], size=(PREDICT_ROWS, len(ranges)))
+    large = rng.uniform(ranges[:, 0], ranges[:, 1], size=(LARGE_BATCH_ROWS, len(ranges)))
     # A diverged model predicts inf and NaN; those bits are digested too.
     with np.errstate(over="ignore", invalid="ignore"):
         single = np.vstack([model.predict(row) for row in block])
         batch = model.predict(block)
+        large_batch = model.predict(large)
     return {
         "predict_single": hashlib.sha256(single.tobytes()).hexdigest(),
         "predict_batch": hashlib.sha256(batch.tobytes()).hexdigest(),
+        f"predict_batch_{LARGE_BATCH_ROWS}": hashlib.sha256(large_batch.tobytes()).hexdigest(),
     }
 
 

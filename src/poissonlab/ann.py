@@ -196,6 +196,11 @@ def predict_batch(model: MlpModel, inputs) -> np.ndarray:
     return out if out.ndim == 2 else out[None, :]
 
 
+# The bounds of `_forward_rows`, the batch path of `_forward`.
+ROW_BLOCK, TILE_MIN_SIZE = 64, 16384
+C_ORDER_FAN_IN, C_ORDER_FAN_OUT = 16, 192
+
+
 def _forward(layers: tuple, a: np.ndarray) -> np.ndarray:
     """The output for one row (n_in,) or rows (n, n_in), as a 1-D or 2-D
     array, by layer steps `(w.T, b, apply, out)`: each layer's product
@@ -205,12 +210,63 @@ def _forward(layers: tuple, a: np.ndarray) -> np.ndarray:
     A 1-D row takes each layer's product through `np.dot` and rows
     through `np.matmul`: the same BLAS routine and bits, but `np.dot`
     skips 0.3-0.6 µs of dispatch per layer on a vector and is slower on
-    a large batch (see README §3).
+    a large batch (see README §3). Rows (n, n_in) with n >= 2 * ROW_BLOCK
+    take `_forward_rows`, the same arithmetic in less time. The 1-D row
+    and smaller batches keep the F-ordered `w.T` view: a one-row product
+    goes to gemv, whose bits depend on the operand's layout, and the
+    other layout was checked from 128 rows only.
     """
-    product = np.dot if a.ndim == 1 else np.matmul
+    if a.ndim == 1:
+        product = np.dot
+    elif a.shape[0] >= 2 * ROW_BLOCK:
+        return _forward_rows(layers, a)
+    else:
+        product = np.matmul
     for wt, b, apply, out in layers:
         z = product(a, wt, out)
         z += b
+        a = apply(z)
+    return a
+
+
+def _forward_rows(layers: tuple, a: np.ndarray) -> np.ndarray:
+    """`_forward` on n >= 2 * ROW_BLOCK rows, bit for bit.
+
+    numpy's `z += b` copies the broadcast bias into a scratch buffer of
+    8,192 elements at a time, which took half of a (1024, 101) add. A
+    layer output of at least TILE_MIN_SIZE elements (two such buffers)
+    instead gets the bias on its first n - n % ROW_BLOCK rows in blocks,
+    from one (ROW_BLOCK, n_out) tile filled from `b`, and on the rest by
+    `z += b`: the same elementwise additions. A smaller output keeps
+    `z += b`, which cost less than filling and adding the tile.
+
+    A layer with fewer than C_ORDER_FAN_IN inputs and at most
+    C_ORDER_FAN_OUT outputs takes its product on a C-ordered copy of `w.T`,
+    made per call so that in-place edits of the weights are always seen.
+    OpenBLAS 0.3.31 sends that layout to its small-matrix kernel, which took
+    `(1024, 8) @ (8, 101)` in 31 µs against 54 µs for the F-ordered view
+    (one thread, AVX-512 Xeon, numpy 2.4.6). Its bits equal the F-ordered
+    product's only inside those bounds: a scan of 6,000 random shapes with
+    128 to 4,000 rows inside them found no difference, while products with
+    16 or more inputs, or more than 192 outputs, differed in many shapes.
+    Every other layer keeps the F-ordered view.
+    """
+    rows = a.shape[0]
+    whole = rows - rows % ROW_BLOCK
+    for wt, b, apply, out in layers:
+        fan_in, fan_out = wt.shape
+        if fan_in < C_ORDER_FAN_IN and fan_out <= C_ORDER_FAN_OUT:
+            wt = np.ascontiguousarray(wt)
+        z = np.matmul(a, wt, out)
+        if z.size < TILE_MIN_SIZE:
+            z += b
+        else:
+            tile = np.empty((ROW_BLOCK, fan_out))
+            tile[...] = b
+            blocks = z[:whole].reshape(-1, ROW_BLOCK, fan_out, copy=False)
+            blocks += tile
+            if whole < rows:
+                z[whole:] += b
         a = apply(z)
     return a
 

@@ -60,12 +60,14 @@ def _positive(value, path: str) -> float:
     return number
 
 
-def _at_least(minimum: float):
+def _at_least(minimum: float, maximum: float = math.inf):
     def read(value, path: str) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         if value < minimum:
             raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
         return value
 
     return read
@@ -204,7 +206,8 @@ _problem = _Section(PoissonProblem, g=_number, x0=_number, x1=_number, y0=_numbe
 # Top-level key -> (ExperimentConfig attribute, reader).
 SECTIONS = {
     "problems": ("problems", _list_of(_problem, min_len=1)),
-    "n_nodes": ("n_nodes", _at_least(3)),
+    # numpy cannot shape one row of more than sys.maxsize // 8 floats.
+    "n_nodes": ("n_nodes", _at_least(3, sys.maxsize // 8)),
     "regression": ("regression", _Section(
         RegressionSpec, n=_at_least(2), true_w=_number, true_b=_number, x_range=_interval,
         noise_amplitude=_number, seed=_seed)),

@@ -488,34 +488,44 @@ def test_forward_equals_the_textbook_forward_bit_for_bit(case):
 @pytest.mark.parametrize("hidden", [(), (1,), (8,), (16, 16)], ids=["none", "1", "8", "16-16"])
 def test_one_row_and_batches_equal_the_textbook_forward_bit_for_bit(hidden, output):
     # A 1-D row takes np.dot and rows take np.matmul; either must give the
-    # bits of the textbook's `a @ w.T + b` on that row or batch.
+    # bits of the textbook's `a @ w.T + b` on that row or batch. From 128
+    # rows the batch path adds the bias in blocks of 64 rows to an output
+    # of at least 16,384 elements (1,000 rows of 101 are 15 blocks and a
+    # 40-row tail) and reads a C-ordered w.T where fan-in < 16 and fan-out
+    # <= 192: fan-out 11 after a 16-wide layer and fan-out 201 are products
+    # whose bits that layout would change.
     rng = np.random.default_rng(17)
-    for fan_in in (2, 3):
+    for fan_in in (1, 2, 3):
         rows = rng.normal(size=(1600, fan_in))
-        for fan_out in (1, 8, 101):
+        for fan_out in (1, 8, 11, 101, 201):
             sizes = (fan_in, *hidden, fan_out)
             model = init_mlp(sizes, transfers=("tanh",) * len(hidden) + (output,), seed=sum(sizes))
             doc = model.to_dict()
-            for x in (rows[0], *(rows[:n] for n in (2, 7, 52, 1600))):
+            for x in (rows[0], *(rows[:n] for n in (2, 7, 52, 127, 128, 129, 1000, 1600))):
                 expected = reference_prediction(doc, x)
                 npt.assert_array_equal(predict_batch(model, x), expected, err_msg=f"{sizes} {x.shape}")
 
 
 def test_layer_steps_track_in_place_edits():
-    model = init_mlp((3, 4, 2), seed=5)
-    x, _ = profile_batch(6, seed=1)
-    before = predict_batch(model, x)
+    # 6 rows take the layer steps' views; 200 rows take the batch path,
+    # which makes its C-ordered copies of w.T, and the bias tile of the
+    # (200, 101) output, on every call.
+    model = init_mlp((3, 4, 101), seed=5)
+    x, _ = profile_batch(200, seed=1)
+    batches = (x[:6], x)
+    before = [predict_batch(model, rows) for rows in batches]
     model.weights[0][1, 2] += 0.25
     model.biases[1][...] = -1.0
     model.weights[1][...] *= 2.0
-    after = predict_batch(model, x)
-    assert not np.array_equal(after, before)
-    npt.assert_array_equal(after, reference_prediction(model.to_dict(), x))
+    for rows, old in zip(batches, before):
+        after = predict_batch(model, rows)
+        assert not np.array_equal(after, old)
+        npt.assert_array_equal(after, reference_prediction(model.to_dict(), rows))
     # An entry cannot be replaced, so no layer step is left on an old array.
     with pytest.raises(TypeError):
         model.weights[0] = np.zeros((4, 3))
     with pytest.raises(TypeError):
-        model.biases[1] = np.zeros(2)
+        model.biases[1] = np.zeros(101)
 
 
 def test_copied_model_steps_view_its_own_arrays():
@@ -644,11 +654,14 @@ def test_predict_batch_shapes():
 @pytest.mark.parametrize("transfers", [None, ("tanh", "tanh")], ids=["purelin-output", "tanh-output"])
 def test_epoch_run_allocates_no_array_after_its_first_call(transfers):
     # Every array the plan writes is made in _Epoch.__init__. The first
-    # call may fill numpy's per-process caches, so it runs untraced. numpy's
-    # ufunc iterator still takes a scratch buffer of at most 8,192 elements
-    # (64 KB) for the broadcast bias add, so the next run sets a peak that
-    # later runs must not raise, and that stays far below one (1600, 101)
-    # output of 1.29 MB.
+    # call may fill numpy's per-process caches, so it runs untraced. On
+    # 1,600 rows the forward pass takes its batch path: each layer reads a
+    # C-ordered copy of w.T, the (1600, 8) hidden output's bias add makes
+    # numpy's ufunc iterator take a scratch buffer of at most 8,192
+    # elements (64 KB), and the (1600, 101) output gets its bias from a
+    # (64, 101) tile of 52 KB, each freed before the next step. So the
+    # next run sets a peak, about 67 KB, that later runs must not raise,
+    # and that stays far below one (1600, 101) output of 1.29 MB.
     model = init_mlp((3, 8, 101), transfers=transfers, seed=0)
     epoch = _Epoch(model, *_as_pair(model, *profile_batch(1600, seed=6)))
     epoch.run()

@@ -293,12 +293,17 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
         ("surrogate", "configs/surrogate_minimal.json", None, "space",
          dict(SPACE, sampling="grid", n_samples=10**1000), "space.n_samples: must be <="),
         ("surrogate", "configs/surrogate_minimal.json", "eval", "n_fresh", 10**20, "eval.n_fresh: must be <="),
+        # One row of n_nodes floats must fit too; n_nodes is read before the row counts.
+        ("solve", "configs/solve_demo.json", None, "n_nodes", 10**20,
+         f"n_nodes: must be <= {sys.maxsize // 8}, got {10**20}"),
+        ("surrogate", "configs/surrogate_minimal.json", None, "n_nodes", 10**20,
+         f"n_nodes: must be <= {sys.maxsize // 8}, got {10**20}"),
     ],
     ids=["n_fresh-0", "repetitions-0", "n_predictions-negative", "curve-size-0", "regression-n-1",
          "multiplier-negative", "n_nodes-2", "ratios-sum", "ratios-negative", "n_predictions-huge",
          "ledger-n_predictions-huge", "grid-not-a-cube", "curve-grid-size-not-a-cube", "n_samples-0",
          "max_epochs-0", "ledger-n_predictions-negative", "n_samples-1e20", "n_samples-1e400",
-         "grid-n_samples-1e1000", "n_fresh-1e20"],
+         "grid-n_samples-1e1000", "n_fresh-1e20", "solve-n_nodes-1e20", "surrogate-n_nodes-1e20"],
 )
 def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, section, key, value, message):
     doc = json.loads(Path(source).read_text())
