@@ -197,7 +197,7 @@ def predict_batch(model: MlpModel, inputs) -> np.ndarray:
 
 
 # The bounds of `_forward_rows`, the batch path of `_forward`.
-ROW_BLOCK, TILE_MIN_SIZE = 64, 16384
+ROW_BLOCK = 64
 C_ORDER_FAN_IN, C_ORDER_FAN_OUT = 16, 192
 
 
@@ -233,23 +233,27 @@ def _forward_rows(layers: tuple, a: np.ndarray) -> np.ndarray:
     """`_forward` on n >= 2 * ROW_BLOCK rows, bit for bit.
 
     numpy's `z += b` copies the broadcast bias into a scratch buffer of
-    8,192 elements at a time, which took half of a (1024, 101) add. A
-    layer output of at least TILE_MIN_SIZE elements (two such buffers)
-    instead gets the bias on its first n - n % ROW_BLOCK rows in blocks,
-    from one (ROW_BLOCK, n_out) tile filled from `b`, and on the rest by
-    `z += b`: the same elementwise additions. A smaller output keeps
-    `z += b`, which cost less than filling and adding the tile.
+    8,192 elements at a time. Here each layer's bias is added to the
+    first n - n % ROW_BLOCK rows in blocks, from one (ROW_BLOCK, n_out)
+    tile filled from `b`, and to the rest by `z += b`: the same
+    elementwise additions. A (1024, 101) add took 31 µs that way against
+    57 µs broadcast, and a (1024, 8) add 8 µs against 10 µs. `z` is
+    C-ordered, new from `matmul` or the epoch's own buffer, so the
+    blocks are a view of it.
 
     A layer with fewer than C_ORDER_FAN_IN inputs and at most
-    C_ORDER_FAN_OUT outputs takes its product on a C-ordered copy of `w.T`,
-    made per call so that in-place edits of the weights are always seen.
-    OpenBLAS 0.3.31 sends that layout to its small-matrix kernel, which took
-    `(1024, 8) @ (8, 101)` in 31 µs against 54 µs for the F-ordered view
-    (one thread, AVX-512 Xeon, numpy 2.4.6). Its bits equal the F-ordered
-    product's only inside those bounds: a scan of 6,000 random shapes with
-    128 to 4,000 rows inside them found no difference, while products with
-    16 or more inputs, or more than 192 outputs, differed in many shapes.
-    Every other layer keeps the F-ordered view.
+    C_ORDER_FAN_OUT outputs takes its product on a C-ordered copy of
+    `w.T`, made per call so that in-place edits of the weights are
+    always seen. OpenBLAS 0.3.31 sends that layout to its small-matrix
+    kernel, which took `(1024, 8) @ (8, 101)` in 31 µs against 54 µs
+    for the F-ordered view. Its bits equal the F-ordered product's only
+    inside those bounds: scans of 6,000 random shapes inside them, with
+    128 to 4,000 C-ordered rows, and of 3,000 with F-ordered rows found
+    no difference, while products with 16 or more inputs, or more than
+    192 outputs, differed in many shapes. Every other layer keeps the
+    F-ordered view. The bounds were measured on one build (numpy 2.4.6,
+    OpenBLAS 0.3.31, AVX-512 Xeon, one thread); on another, the
+    bit-for-bit tests in tests/test_ann.py say which BLAS they ran on.
     """
     rows = a.shape[0]
     whole = rows - rows % ROW_BLOCK
@@ -258,15 +262,12 @@ def _forward_rows(layers: tuple, a: np.ndarray) -> np.ndarray:
         if fan_in < C_ORDER_FAN_IN and fan_out <= C_ORDER_FAN_OUT:
             wt = np.ascontiguousarray(wt)
         z = np.matmul(a, wt, out)
-        if z.size < TILE_MIN_SIZE:
-            z += b
-        else:
-            tile = np.empty((ROW_BLOCK, fan_out))
-            tile[...] = b
-            blocks = z[:whole].reshape(-1, ROW_BLOCK, fan_out, copy=False)
-            blocks += tile
-            if whole < rows:
-                z[whole:] += b
+        tile = np.empty((ROW_BLOCK, fan_out))
+        tile[...] = b
+        blocks = z[:whole].reshape(-1, ROW_BLOCK, fan_out)
+        blocks += tile
+        if whole < rows:
+            z[whole:] += b
         a = apply(z)
     return a
 

@@ -484,32 +484,50 @@ def test_forward_equals_the_textbook_forward_bit_for_bit(case):
             npt.assert_array_equal(saved.predict(rows), expected)
 
 
+def blas_build():
+    """The numpy and BLAS build a bit-for-bit comparison ran on, for its
+    failure message: the batch path's operand bounds were measured on one."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 prints its config only
+        return f"numpy {np.__version__}"
+    blas = config["Build Dependencies"]["blas"]
+    simd = config.get("SIMD Extensions", {}).get("found")
+    return f"numpy {np.__version__}, {blas.get('openblas configuration', blas.get('name'))}, SIMD {simd}"
+
+
 @pytest.mark.parametrize("output", ["purelin", "tanh"])
 @pytest.mark.parametrize("hidden", [(), (1,), (8,), (16, 16)], ids=["none", "1", "8", "16-16"])
 def test_one_row_and_batches_equal_the_textbook_forward_bit_for_bit(hidden, output):
     # A 1-D row takes np.dot and rows take np.matmul; either must give the
     # bits of the textbook's `a @ w.T + b` on that row or batch. From 128
-    # rows the batch path adds the bias in blocks of 64 rows to an output
-    # of at least 16,384 elements (1,000 rows of 101 are 15 blocks and a
-    # 40-row tail) and reads a C-ordered w.T where fan-in < 16 and fan-out
-    # <= 192: fan-out 11 after a 16-wide layer and fan-out 201 are products
-    # whose bits that layout would change.
+    # rows the batch path (`ann._forward_rows`) adds the bias in 64-row
+    # blocks (1,000 rows are 15 blocks and a 40-row tail) and reads a
+    # C-ordered w.T inside its fan-in and fan-out bounds: fan-out 11 after
+    # a 16-wide layer and fan-out 201 lie outside them. F-ordered rows reach
+    # the first layer's product as they are.
     rng = np.random.default_rng(17)
     for fan_in in (1, 2, 3):
         rows = rng.normal(size=(1600, fan_in))
+        batches = [rows[:n] for n in (2, 7, 52, 127, 128, 129, 1000, 1600)]
+        batches += [np.asfortranarray(rows[:n]) for n in (128, 1000)]
         for fan_out in (1, 8, 11, 101, 201):
             sizes = (fan_in, *hidden, fan_out)
             model = init_mlp(sizes, transfers=("tanh",) * len(hidden) + (output,), seed=sum(sizes))
             doc = model.to_dict()
-            for x in (rows[0], *(rows[:n] for n in (2, 7, 52, 127, 128, 129, 1000, 1600))):
+            for x in (rows[0], *batches):
                 expected = reference_prediction(doc, x)
-                npt.assert_array_equal(predict_batch(model, x), expected, err_msg=f"{sizes} {x.shape}")
+                npt.assert_array_equal(
+                    predict_batch(model, x),
+                    expected,
+                    err_msg=f"{sizes} {x.shape} F-ordered {not x.flags.c_contiguous}; {blas_build()}",
+                )
 
 
 def test_layer_steps_track_in_place_edits():
     # 6 rows take the layer steps' views; 200 rows take the batch path,
-    # which makes its C-ordered copies of w.T, and the bias tile of the
-    # (200, 101) output, on every call.
+    # which makes its C-ordered copies of w.T and its bias tiles on every
+    # call.
     model = init_mlp((3, 4, 101), seed=5)
     x, _ = profile_batch(200, seed=1)
     batches = (x[:6], x)
@@ -655,13 +673,11 @@ def test_predict_batch_shapes():
 def test_epoch_run_allocates_no_array_after_its_first_call(transfers):
     # Every array the plan writes is made in _Epoch.__init__. The first
     # call may fill numpy's per-process caches, so it runs untraced. On
-    # 1,600 rows the forward pass takes its batch path: each layer reads a
-    # C-ordered copy of w.T, the (1600, 8) hidden output's bias add makes
-    # numpy's ufunc iterator take a scratch buffer of at most 8,192
-    # elements (64 KB), and the (1600, 101) output gets its bias from a
-    # (64, 101) tile of 52 KB, each freed before the next step. So the
-    # next run sets a peak, about 67 KB, that later runs must not raise,
-    # and that stays far below one (1600, 101) output of 1.29 MB.
+    # 1,600 rows the forward pass takes its batch path, whose per-layer
+    # copy of w.T and bias tile (52 KB for the (64, 101) one) are freed
+    # before the next layer. So the next run sets a peak, about 71 KB,
+    # that later runs must not raise, and that stays far below one
+    # (1600, 101) output of 1.29 MB.
     model = init_mlp((3, 8, 101), transfers=transfers, seed=0)
     epoch = _Epoch(model, *_as_pair(model, *profile_batch(1600, seed=6)))
     epoch.run()
