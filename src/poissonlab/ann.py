@@ -232,14 +232,10 @@ def _forward(layers: tuple, a: np.ndarray) -> np.ndarray:
 def _forward_rows(layers: tuple, a: np.ndarray) -> np.ndarray:
     """`_forward` on n >= 2 * ROW_BLOCK rows, bit for bit.
 
-    numpy's `z += b` copies the broadcast bias into a scratch buffer of
-    8,192 elements at a time. Here each layer's bias is added to the
-    first n - n % ROW_BLOCK rows in blocks, from one (ROW_BLOCK, n_out)
-    tile filled from `b`, and to the rest by `z += b`: the same
-    elementwise additions. A (1024, 101) add took 31 µs that way against
-    57 µs broadcast, and a (1024, 8) add 8 µs against 10 µs. `z` is
-    C-ordered, new from `matmul` or the epoch's own buffer, so the
-    blocks are a view of it.
+    Each layer's bias is added in place by `_rowwise`, from one
+    (ROW_BLOCK, n_out) tile: the same elementwise additions as
+    `z += b`. A (1024, 101) add took 31 µs that way against 57 µs
+    broadcast, and a (1024, 8) add 8 µs against 10 µs.
 
     A layer with fewer than C_ORDER_FAN_IN inputs and at most
     C_ORDER_FAN_OUT outputs takes its product on a C-ordered copy of
@@ -255,21 +251,38 @@ def _forward_rows(layers: tuple, a: np.ndarray) -> np.ndarray:
     OpenBLAS 0.3.31, AVX-512 Xeon, one thread); on another, the
     bit-for-bit tests in tests/test_ann.py say which BLAS they ran on.
     """
-    rows = a.shape[0]
-    whole = rows - rows % ROW_BLOCK
     for wt, b, apply, out in layers:
         fan_in, fan_out = wt.shape
         if fan_in < C_ORDER_FAN_IN and fan_out <= C_ORDER_FAN_OUT:
             wt = np.ascontiguousarray(wt)
         z = np.matmul(a, wt, out)
-        tile = np.empty((ROW_BLOCK, fan_out))
-        tile[...] = b
-        blocks = z[:whole].reshape(-1, ROW_BLOCK, fan_out)
-        blocks += tile
-        if whole < rows:
-            z[whole:] += b
-        a = apply(z)
+        a = apply(_rowwise(np.add, z, b, z))
     return a
+
+
+def _rowwise(ufunc: np.ufunc, rows: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`ufunc(rows, v, out)` for rows (n, k) and one (k,) vector, bit for bit.
+
+    numpy broadcasts `v` over the rows through a scratch buffer of 8,192
+    elements at a time. Here the first n - n % ROW_BLOCK rows go in
+    blocks of ROW_BLOCK against one (ROW_BLOCK, k) tile filled from `v`
+    on each call, and the rest against `v` by plain broadcasting: the
+    same elementwise operations, so `rows + b`, `rows - v` and `rows / v`
+    keep their bits. Splitting the row axis into blocks is a view for any
+    strides, so `out` is written in place. When `out` is None it is a new
+    array laid out like `rows`, as numpy's own broadcast result is.
+    `out` may be `rows` itself.
+    """
+    n, k = rows.shape
+    if out is None:
+        out = np.empty_like(rows)
+    whole = n - n % ROW_BLOCK
+    tile = np.empty((ROW_BLOCK, k))
+    tile[...] = v
+    ufunc(rows[:whole].reshape(-1, ROW_BLOCK, k), tile, out[:whole].reshape(-1, ROW_BLOCK, k))
+    if whole < n:
+        ufunc(rows[whole:], v, out[whole:])
+    return out
 
 
 def _as_pair(model: MlpModel, inputs, targets) -> tuple:

@@ -217,14 +217,22 @@ class SurrogateModel:
     def predict(self, raw_inputs) -> np.ndarray:
         """(n, grid_size) nodal predictions for raw parameter rows.
 
-        A single row may be 1-D; it gives (1, grid_size).
+        A single row may be 1-D; it gives (1, grid_size). Rows are
+        standardized as `(x - input_center) / input_scale`; from
+        2 * ann.ROW_BLOCK rows on, by `_standardized` on row tiles, with
+        the same bits. The 1-D row and smaller batches take the plain
+        expression, which adds no call in front of the one-row path.
         """
         x = np.asarray(raw_inputs, dtype=float)
         # Checked before standardizing, which would broadcast a scalar or a
         # width-1 input against the offsets into plausible rows.
         if x.ndim not in (1, 2) or x.shape[-1] != self.mlp.layer_sizes[0]:
             raise ShapeError(f"inputs must be rows of {self.mlp.layer_sizes[0]} parameters, got shape {x.shape}")
-        return ann.predict_batch(self.mlp, (x - self.input_center) / self.input_scale)
+        if x.ndim == 2 and x.shape[0] >= 2 * ann.ROW_BLOCK:
+            x = _standardized(x, self.input_center, self.input_scale)
+        else:
+            x = (x - self.input_center) / self.input_scale
+        return ann.predict_batch(self.mlp, x)
 
     def to_dict(self) -> dict:
         return {
@@ -251,6 +259,14 @@ def _standardization(train_inputs: np.ndarray) -> tuple:
     return center, scale
 
 
+def _standardized(rows: np.ndarray, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`(rows - center) / scale` for float rows (n, k), bit for bit, as a new
+    array: the subtraction into it and the division in place, each on the
+    row tiles of `ann._rowwise`, which spare numpy's broadcast copies."""
+    z = ann._rowwise(np.subtract, rows, center)
+    return ann._rowwise(np.divide, z, scale, z)
+
+
 def train_surrogate(
     dataset: SurrogateDataset,
     layer_sizes,
@@ -268,8 +284,9 @@ def train_surrogate(
     train_rows = dataset.rows_for("train")
     if train_rows.size == 0:
         raise ParameterError("train split is empty")
-    center, scale = _standardization(dataset.inputs[train_rows])
-    x = (dataset.inputs[train_rows] - center) / scale
+    train_inputs = dataset.inputs[train_rows]
+    center, scale = _standardization(train_inputs)
+    x = _standardized(train_inputs, center, scale)
     y = dataset.outputs[train_rows]
     model = ann.init_mlp(layer_sizes, transfers=transfers, seed=cfg.init_seed)
     trained, report = ann.train_steepest_descent(model, x, y, cfg)

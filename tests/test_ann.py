@@ -11,12 +11,14 @@ import pytest
 
 from poissonlab import regress
 from poissonlab.ann import (
+    ROW_BLOCK,
     TRANSFERS,
     MlpModel,
     TrainConfig,
     _as_pair,
     _Epoch,
     _flat_layers,
+    _rowwise,
     check_gradients,
     gradients,
     init_mlp,
@@ -522,6 +524,29 @@ def test_one_row_and_batches_equal_the_textbook_forward_bit_for_bit(hidden, outp
                     expected,
                     err_msg=f"{sizes} {x.shape} F-ordered {not x.flags.c_contiguous}; {blas_build()}",
                 )
+
+
+@pytest.mark.parametrize("k", [1, 3, 101])
+def test_rowwise_equals_the_broadcast_op_bit_for_bit(k):
+    # Row counts on either side of the block size, with NaN and infinities
+    # among the rows; F-ordered and strided rows get an `out` laid out as
+    # numpy's own broadcast result.
+    rng = np.random.default_rng(k)
+    v = rng.uniform(0.1, 3.0, size=k) * rng.choice((-1.0, 1.0), size=k)
+    for n in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 1000):
+        big = rng.normal(size=(2 * n, k))
+        big.flat[rng.integers(0, big.size, size=3)] = (np.nan, np.inf, -np.inf)
+        for rows in (big[:n], np.asfortranarray(big[:n]), big[::2]):
+            before = rows.copy()
+            for ufunc in (np.add, np.subtract, np.divide):
+                expected = ufunc(rows, v)
+                got = _rowwise(ufunc, rows, v)
+                npt.assert_array_equal(got, expected, err_msg=f"{ufunc.__name__} {rows.shape}")
+                assert got.strides == expected.strides
+                npt.assert_array_equal(rows, before)
+                in_place = rows.copy(order="K")
+                assert _rowwise(ufunc, in_place, v, in_place) is in_place
+                npt.assert_array_equal(in_place, expected, err_msg=f"in place {ufunc.__name__} {rows.shape}")
 
 
 def test_layer_steps_track_in_place_edits():

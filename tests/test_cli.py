@@ -259,6 +259,8 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
         ("surrogate", "configs/surrogate_minimal.json", "eval", "n_fresh", 0, "eval.n_fresh: must be >= 1"),
         ("surrogate", "configs/surrogate_minimal.json", "costs", "repetitions", 0,
          "costs.repetitions: must be >= 1"),
+        ("surrogate", "configs/surrogate_minimal.json", "costs", "repetitions", 10**12,
+         f"costs.repetitions: must be <= 10000, got {10**12}"),
         ("surrogate", "configs/surrogate_minimal.json", "costs", "n_predictions", -1,
          "costs.n_predictions: must be >= 0"),
         ("surrogate", "configs/surrogate_minimal.json", "data_curve", "sizes", [8, 0],
@@ -299,7 +301,7 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
         ("surrogate", "configs/surrogate_minimal.json", None, "n_nodes", 10**20,
          f"n_nodes: must be <= {sys.maxsize // 8}, got {10**20}"),
     ],
-    ids=["n_fresh-0", "repetitions-0", "n_predictions-negative", "curve-size-0", "regression-n-1",
+    ids=["n_fresh-0", "repetitions-0", "repetitions-1e12", "n_predictions-negative", "curve-size-0", "regression-n-1",
          "multiplier-negative", "n_nodes-2", "ratios-sum", "ratios-negative", "n_predictions-huge",
          "ledger-n_predictions-huge", "grid-not-a-cube", "curve-grid-size-not-a-cube", "n_samples-0",
          "max_epochs-0", "ledger-n_predictions-negative", "n_samples-1e20", "n_samples-1e400",

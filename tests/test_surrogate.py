@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from poissonlab import surrogate
+from poissonlab import ann, surrogate
 from poissonlab.ann import MlpModel, TrainConfig, init_mlp
 from poissonlab.config import ArchSpec, DataCurveSpec, ExperimentConfig, SplitSpec
 from poissonlab.errors import ParameterError, ShapeError
@@ -394,6 +394,93 @@ def test_model_input_size_must_be_three():
     # of three samples and answer with three predictions.
     with pytest.raises(ShapeError, match="input size must be 3"):
         untrained_model((1, 11))
+
+
+def offset_model():
+    # Offsets whose subtraction and division round, unlike BOX's.
+    return SurrogateModel(
+        mlp=init_mlp((3, 8, 101), transfers=("tanh", "purelin"), seed=6),
+        input_center=np.array([0.3, -0.7, 1.9]),
+        input_scale=np.array([3.7, 1.3, 2.9]),
+        grid=np.linspace(0.0, 1.0, 101),
+    )
+
+
+def textbook_predict(model, raw):
+    x = np.asarray(raw, dtype=float)
+    return ann.predict_batch(model.mlp, (x - model.input_center) / model.input_scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 127, 128, 129, 1000, 1024, 4096])
+def test_predict_equals_the_textbook_standardization_bit_for_bit(n):
+    # From 2 * ann.ROW_BLOCK rows predict standardizes on row tiles; below
+    # that, and for a 1-D row, by the plain expression. Either way the bits
+    # are those of `(x - center) / scale`, and 1,000 rows end in a 40-row
+    # tail.
+    model = offset_model()
+    x = sample_inputs(box_space(n, master_seed=23))
+    npt.assert_array_equal(model.predict(x), textbook_predict(model, x))
+    npt.assert_array_equal(model.predict(x[0]), textbook_predict(model, x[0]))
+
+
+@pytest.mark.parametrize("n", [2, 127, 128, 1000])
+def test_predict_keeps_the_textbook_bits_for_any_input_layout(n):
+    model = offset_model()
+    big = sample_inputs(box_space(2 * n, master_seed=29))
+    x = big[:n]
+    ints = np.arange(3 * n).reshape(n, 3) % 7 - 3
+    for raw in (np.asfortranarray(x), big[::2], x.tolist(), ints):
+        npt.assert_array_equal(model.predict(raw), textbook_predict(model, raw), err_msg=type(raw).__name__)
+
+
+def test_predict_keeps_nan_and_infinite_inputs_where_the_textbook_puts_them():
+    model = offset_model()
+    x = sample_inputs(box_space(1000, master_seed=31))
+    x[[0, 63, 64, 500, 999], [0, 1, 2, 1, 0]] = [np.nan, np.inf, -np.inf, np.nan, np.inf]
+    standardized = surrogate._standardized(x, model.input_center, model.input_scale)
+    npt.assert_array_equal(standardized, (x - model.input_center) / model.input_scale)
+    assert np.isinf(standardized[[63, 64, 999], [1, 2, 0]]).all()
+    out = model.predict(x)
+    npt.assert_array_equal(out, textbook_predict(model, x))
+    assert np.isnan(out[[0, 500]]).all() and np.isfinite(out[1:63]).all()
+
+
+def test_a_batched_predict_reaches_the_forward_pass_once(monkeypatch):
+    # perfbench's tracer sees the forward pass through ann.predict_batch,
+    # so a batched predict must still call it, once, through the module.
+    calls = []
+    forward = ann.predict_batch
+
+    def counted(mlp, inputs):
+        calls.append(np.shape(inputs))
+        return forward(mlp, inputs)
+
+    monkeypatch.setattr(ann, "predict_batch", counted)
+    model = offset_model()
+    x = sample_inputs(box_space(1000, master_seed=37))
+    model.predict(x)
+    assert calls == [(1000, 3)]
+    model.predict(x[0])
+    assert calls == [(1000, 3), (3,)]
+
+
+def test_training_on_tiled_standardization_equals_the_textbook():
+    # 160 train rows: two 64-row blocks and a 32-row tail.
+    ds = split_dataset(generate_dataset(box_space(200, master_seed=41), 11), (0.8, 0.1, 0.1), seed=5)
+    cfg = quick_train_config(learning_rate=0.001, max_epochs=30)
+    model, report = train_surrogate(ds, (3, 8, 11), cfg)
+    train = ds.rows_for("train")
+    assert train.size == 160
+    x = ds.inputs[train]
+    center, scale = surrogate._standardization(x)
+    textbook, textbook_report = ann.train_steepest_descent(
+        init_mlp((3, 8, 11), seed=cfg.init_seed), (x - center) / scale, ds.outputs[train], cfg
+    )
+    for got, want in zip(model.mlp.weights + model.mlp.biases, textbook.weights + textbook.biases):
+        npt.assert_array_equal(got, want)
+    assert report.loss_history == textbook_report.loss_history
+    npt.assert_array_equal(model.input_center, center)
+    npt.assert_array_equal(model.input_scale, scale)
 
 
 # -- evaluation --------------------------------------------------------
