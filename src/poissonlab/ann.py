@@ -196,7 +196,23 @@ def predict_batch(model: MlpModel, inputs) -> np.ndarray:
     return out if out.ndim == 2 else out[None, :]
 
 
-# The bounds of `_forward_rows`, the batch path of `_forward`.
+# Rows (n, n_in) with n >= 2 * ROW_BLOCK take `_forward`'s batch branch,
+# the same bits in less time. Its bias add runs on `_rowwise`'s row tiles:
+# a (1024, 101) add took 31 µs that way against 57 µs broadcast, a
+# (1024, 8) add 8 µs against 10 µs. A layer with fewer than C_ORDER_FAN_IN
+# inputs and at most C_ORDER_FAN_OUT outputs multiplies by a C-ordered copy
+# of `w.T`, made per call so that in-place edits of the weights are seen.
+# OpenBLAS 0.3.31 sends that layout to its small-matrix kernel, which took
+# `(1024, 8) @ (8, 101)` in 31 µs against 54 µs for the F-ordered view.
+# The two layouts give equal bits only inside those bounds: scans of 6,000
+# random shapes inside them, with 128 to 4,000 C-ordered rows, and of 3,000
+# with F-ordered rows found no difference, while products with 16 or more
+# inputs, or more than 192 outputs, differed in many shapes. Every other
+# layer, the 1-D row and smaller batches keep the F-ordered view: a one-row
+# product goes to gemv, whose bits depend on the operand's layout, and the
+# other layout was checked from 128 rows only. The bounds were measured on
+# one build (numpy 2.4.6, OpenBLAS 0.3.31, AVX-512 Xeon, one thread); on
+# another, the bit-for-bit tests in tests/test_ann.py say which BLAS they ran on.
 ROW_BLOCK = 64
 C_ORDER_FAN_IN, C_ORDER_FAN_OUT = 16, 192
 
@@ -207,73 +223,51 @@ def _forward(layers: tuple, a: np.ndarray) -> np.ndarray:
     is written into `out`, a new array when `out` is None, and biased
     and transferred in place.
 
-    A 1-D row takes each layer's product through `np.dot` and rows
-    through `np.matmul`: the same BLAS routine and bits, but `np.dot`
-    skips 0.3-0.6 µs of dispatch per layer on a vector and is slower on
-    a large batch (see README §3). Rows (n, n_in) with n >= 2 * ROW_BLOCK
-    take `_forward_rows`, the same arithmetic in less time. The 1-D row
-    and smaller batches keep the F-ordered `w.T` view: a one-row product
-    goes to gemv, whose bits depend on the operand's layout, and the
-    other layout was checked from 128 rows only.
+    The product and the bias add are picked once per call from the
+    input's shape. A 1-D row takes `np.dot` and rows `np.matmul`: the
+    same BLAS routine and bits, but `np.dot` skips 0.3-0.6 µs of
+    dispatch per layer on a vector and is slower on a large batch (see
+    README §3). Both add the bias by `np.add`. From 2 * ROW_BLOCK rows
+    the product reads a C-ordered `w.T` inside the bounds above, and
+    `_rowwise`, whose ufunc is `np.add` by default, adds on row tiles.
     """
     if a.ndim == 1:
-        product = np.dot
-    elif a.shape[0] >= 2 * ROW_BLOCK:
-        return _forward_rows(layers, a)
+        product, add = np.dot, np.add
+    elif a.shape[0] < 2 * ROW_BLOCK:
+        product, add = np.matmul, np.add
     else:
-        product = np.matmul
+        product, add = _matmul_rows, _rowwise
     for wt, b, apply, out in layers:
         z = product(a, wt, out)
-        z += b
-        a = apply(z)
+        a = apply(add(z, b, z))
     return a
 
 
-def _forward_rows(layers: tuple, a: np.ndarray) -> np.ndarray:
-    """`_forward` on n >= 2 * ROW_BLOCK rows, bit for bit.
-
-    Each layer's bias is added in place by `_rowwise`, from one
-    (ROW_BLOCK, n_out) tile: the same elementwise additions as
-    `z += b`. A (1024, 101) add took 31 µs that way against 57 µs
-    broadcast, and a (1024, 8) add 8 µs against 10 µs.
-
-    A layer with fewer than C_ORDER_FAN_IN inputs and at most
-    C_ORDER_FAN_OUT outputs takes its product on a C-ordered copy of
-    `w.T`, made per call so that in-place edits of the weights are
-    always seen. OpenBLAS 0.3.31 sends that layout to its small-matrix
-    kernel, which took `(1024, 8) @ (8, 101)` in 31 µs against 54 µs
-    for the F-ordered view. Its bits equal the F-ordered product's only
-    inside those bounds: scans of 6,000 random shapes inside them, with
-    128 to 4,000 C-ordered rows, and of 3,000 with F-ordered rows found
-    no difference, while products with 16 or more inputs, or more than
-    192 outputs, differed in many shapes. Every other layer keeps the
-    F-ordered view. The bounds were measured on one build (numpy 2.4.6,
-    OpenBLAS 0.3.31, AVX-512 Xeon, one thread); on another, the
-    bit-for-bit tests in tests/test_ann.py say which BLAS they ran on.
-    """
-    for wt, b, apply, out in layers:
-        fan_in, fan_out = wt.shape
-        if fan_in < C_ORDER_FAN_IN and fan_out <= C_ORDER_FAN_OUT:
-            wt = np.ascontiguousarray(wt)
-        z = np.matmul(a, wt, out)
-        a = apply(_rowwise(np.add, z, b, z))
-    return a
+def _matmul_rows(a: np.ndarray, wt: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """`np.matmul(a, wt, out)`, on a C-ordered copy of `wt` inside the bounds above."""
+    fan_in, fan_out = wt.shape
+    if fan_in < C_ORDER_FAN_IN and fan_out <= C_ORDER_FAN_OUT:
+        wt = np.ascontiguousarray(wt)
+    return np.matmul(a, wt, out)
 
 
-def _rowwise(ufunc: np.ufunc, rows: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _rowwise(rows: np.ndarray, v: np.ndarray, out: np.ndarray | None = None, ufunc: np.ufunc = np.add) -> np.ndarray:
     """`ufunc(rows, v, out)` for rows (n, k) and one (k,) vector, bit for bit.
 
     numpy broadcasts `v` over the rows through a scratch buffer of 8,192
-    elements at a time. Here the first n - n % ROW_BLOCK rows go in
-    blocks of ROW_BLOCK against one (ROW_BLOCK, k) tile filled from `v`
-    on each call, and the rest against `v` by plain broadcasting: the
-    same elementwise operations, so `rows + b`, `rows - v` and `rows / v`
-    keep their bits. Splitting the row axis into blocks is a view for any
-    strides, so `out` is written in place. When `out` is None it is a new
-    array laid out like `rows`, as numpy's own broadcast result is.
-    `out` may be `rows` itself.
+    elements at a time. From 2 * ROW_BLOCK rows, the first
+    n - n % ROW_BLOCK go in blocks of ROW_BLOCK against one
+    (ROW_BLOCK, k) tile filled from `v` on each call, and the rest
+    against `v` by plain broadcasting: the same elementwise operations,
+    so `rows + b`, `rows - v` and `rows / v` keep their bits; fewer rows
+    take `ufunc(rows, v, out)` itself. Splitting the row axis into
+    blocks is a view for any strides, so `out` is written in place. When
+    `out` is None it is a new array laid out like `rows`, as numpy's own
+    broadcast result is. `out` may be `rows` itself.
     """
     n, k = rows.shape
+    if n < 2 * ROW_BLOCK:
+        return ufunc(rows, v, out)
     if out is None:
         out = np.empty_like(rows)
     whole = n - n % ROW_BLOCK

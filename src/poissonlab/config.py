@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -203,11 +202,15 @@ class OutputSpec:
 _transfer = _one_of(*TRANSFERS)
 _problem = _Section(PoissonProblem, g=_number, x0=_number, x1=_number, y0=_number, y1=_number)
 
+# A policy bound on memory, as costs.repetitions' is on time: an array that
+# config counts size (one row of n_nodes floats, or count such rows) holds at
+# most 2**28 float64 values (2 GiB), so a larger count exits 2 when parsed.
+_FLOAT_BUDGET = 2**28
+
 # Top-level key -> (ExperimentConfig attribute, reader).
 SECTIONS = {
     "problems": ("problems", _list_of(_problem, min_len=1)),
-    # numpy cannot shape one row of more than sys.maxsize // 8 floats.
-    "n_nodes": ("n_nodes", _at_least(3, sys.maxsize // 8)),
+    "n_nodes": ("n_nodes", _at_least(3, _FLOAT_BUDGET)),
     "regression": ("regression", _Section(
         RegressionSpec, n=_at_least(2), true_w=_number, true_b=_number, x_range=_interval,
         noise_amplitude=_number, seed=_seed)),
@@ -282,15 +285,15 @@ _ROW_COUNTS = {"space": "n_samples", "data_curve": "sizes", "eval": "n_fresh"}
 
 
 def _check_row_counts(section, key: str, n_nodes: int) -> None:
-    """Reject a count whose array numpy cannot shape (over sys.maxsize bytes) before the section
+    """Reject a count whose array would hold more than _FLOAT_BUDGET floats before the section
     is built, as `ParameterSpace` takes its cube root; other kinds are left to the reader."""
     name = _ROW_COUNTS.get(key)
     value = section.get(name) if isinstance(section, dict) else None
-    limit = sys.maxsize // (8 * n_nodes)
+    limit = _FLOAT_BUDGET // n_nodes
     for i, count in enumerate(value if isinstance(value, list) else [value]):
         if isinstance(count, int) and count > limit:
             path = f"{key}.{name}" + (f"[{i}]" if isinstance(value, list) else "")
-            raise ConfigError(f"{path}: must be <= {limit}, the most rows of {n_nodes} floats numpy can shape")
+            raise ConfigError(f"{path}: must be <= {limit}, the most rows of {n_nodes} floats in one array")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:

@@ -112,8 +112,9 @@ def summary(ledger: CostLedger, diverged: bool = False, rmse_test: float | None 
     pessimistic end first (slow predictions against fast solves), then
     optimistic. Either end can be "never".
     A ledger that timed nothing, such as a what-if ledger from a config,
-    has no `cold_solve` and no `break_even_range` key, so its artifact
-    holds only the fields it states; an "invalid" verdict has no range.
+    has no `cold_solve` and no `break_even_range` key; its unstated fields
+    keep their defaults (`repetitions` 1, empty `pr_samples` and
+    `solve_samples`, a null `cold_prediction`). An "invalid" verdict has no range.
     """
     fields = {k: v for k, v in vars(ledger).items() if k != "cold_solve" or v is not None}
     unusable = diverged or (rmse_test is not None and not math.isfinite(rmse_test))

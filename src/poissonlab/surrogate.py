@@ -218,17 +218,16 @@ class SurrogateModel:
         """(n, grid_size) nodal predictions for raw parameter rows.
 
         A single row may be 1-D; it gives (1, grid_size). Rows are
-        standardized as `(x - input_center) / input_scale`; from
-        2 * ann.ROW_BLOCK rows on, by `_standardized` on row tiles, with
-        the same bits. The 1-D row and smaller batches take the plain
-        expression, which adds no call in front of the one-row path.
+        standardized as `(x - input_center) / input_scale`: 2-D inputs
+        by `_standardized`, with the same bits, and the 1-D row by the
+        plain expression, which adds no call in front of the one-row path.
         """
         x = np.asarray(raw_inputs, dtype=float)
         # Checked before standardizing, which would broadcast a scalar or a
         # width-1 input against the offsets into plausible rows.
         if x.ndim not in (1, 2) or x.shape[-1] != self.mlp.layer_sizes[0]:
             raise ShapeError(f"inputs must be rows of {self.mlp.layer_sizes[0]} parameters, got shape {x.shape}")
-        if x.ndim == 2 and x.shape[0] >= 2 * ann.ROW_BLOCK:
+        if x.ndim == 2:
             x = _standardized(x, self.input_center, self.input_scale)
         else:
             x = (x - self.input_center) / self.input_scale
@@ -261,10 +260,10 @@ def _standardization(train_inputs: np.ndarray) -> tuple:
 
 def _standardized(rows: np.ndarray, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """`(rows - center) / scale` for float rows (n, k), bit for bit, as a new
-    array: the subtraction into it and the division in place, each on the
-    row tiles of `ann._rowwise`, which spare numpy's broadcast copies."""
-    z = ann._rowwise(np.subtract, rows, center)
-    return ann._rowwise(np.divide, z, scale, z)
+    array: the subtraction into it and the division in place, each by
+    `ann._rowwise`, whose row tiles spare numpy's broadcast copies."""
+    z = ann._rowwise(rows, center, ufunc=np.subtract)
+    return ann._rowwise(z, scale, z, np.divide)
 
 
 def train_surrogate(

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from poissonlab import regress
+from poissonlab import regress, surrogate
 from poissonlab.ann import (
     ROW_BLOCK,
     TRANSFERS,
@@ -503,11 +503,11 @@ def blas_build():
 def test_one_row_and_batches_equal_the_textbook_forward_bit_for_bit(hidden, output):
     # A 1-D row takes np.dot and rows take np.matmul; either must give the
     # bits of the textbook's `a @ w.T + b` on that row or batch. From 128
-    # rows the batch path (`ann._forward_rows`) adds the bias in 64-row
-    # blocks (1,000 rows are 15 blocks and a 40-row tail) and reads a
-    # C-ordered w.T inside its fan-in and fan-out bounds: fan-out 11 after
-    # a 16-wide layer and fan-out 201 lie outside them. F-ordered rows reach
-    # the first layer's product as they are.
+    # rows `ann._forward` adds the bias on `_rowwise`'s 64-row blocks
+    # (1,000 rows are 15 blocks and a 40-row tail) and reads a C-ordered
+    # w.T inside its fan-in and fan-out bounds: fan-out 11 after a 16-wide
+    # layer and fan-out 201 lie outside them. F-ordered rows reach the
+    # first layer's product as they are.
     rng = np.random.default_rng(17)
     for fan_in in (1, 2, 3):
         rows = rng.normal(size=(1600, fan_in))
@@ -540,13 +540,40 @@ def test_rowwise_equals_the_broadcast_op_bit_for_bit(k):
             before = rows.copy()
             for ufunc in (np.add, np.subtract, np.divide):
                 expected = ufunc(rows, v)
-                got = _rowwise(ufunc, rows, v)
+                got = _rowwise(rows, v, ufunc=ufunc)
                 npt.assert_array_equal(got, expected, err_msg=f"{ufunc.__name__} {rows.shape}")
                 assert got.strides == expected.strides
                 npt.assert_array_equal(rows, before)
                 in_place = rows.copy(order="K")
-                assert _rowwise(ufunc, in_place, v, in_place) is in_place
+                assert _rowwise(in_place, v, in_place, ufunc) is in_place
                 npt.assert_array_equal(in_place, expected, err_msg=f"in place {ufunc.__name__} {rows.shape}")
+
+
+def traced_peak(f):
+    """The tracemalloc peak of one call of f, after an untraced call that
+    may fill numpy's per-process caches."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [3, 101])
+def test_rowwise_below_two_blocks_allocates_no_more_than_numpy(k):
+    # Under 2 * ROW_BLOCK rows no row would go on a tile, so none is made:
+    # 52 rows (a 52-row train split) cost what numpy's own op costs, where
+    # an unused (64, 101) tile would add 52 KB.
+    rng = np.random.default_rng(k)
+    rows = rng.normal(size=(52, k))
+    v = rng.uniform(1.0, 2.0, size=k)
+    for ufunc in (np.add, np.subtract, np.divide):
+        numpy_peak = traced_peak(lambda: ufunc(rows, v))
+        assert traced_peak(lambda: _rowwise(rows, v, ufunc=ufunc)) <= numpy_peak + 256, ufunc.__name__
+    numpy_peak = traced_peak(lambda: np.subtract(rows, v))
+    assert traced_peak(lambda: surrogate._standardized(rows, v, v)) <= numpy_peak + 256
 
 
 def test_layer_steps_track_in_place_edits():

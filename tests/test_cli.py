@@ -287,25 +287,35 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
         ("surrogate", "configs/surrogate_minimal.json", "train", "max_epochs", 0, "train.max_epochs: must be >= 1"),
         ("breakeven", "configs/breakeven_demo.json", "ledger", "n_predictions", -1,
          "ledger.n_predictions: must be >= 0"),
-        # numpy cannot shape a (count, n_nodes) array of floats past sys.maxsize bytes.
+        # A (count, n_nodes) array of floats may hold at most 2**28 values.
         ("surrogate", "configs/surrogate_minimal.json", "space", "n_samples", 10**20,
-         f"space.n_samples: must be <= {sys.maxsize // (8 * 101)}, the most rows of 101 floats numpy can shape"),
+         f"space.n_samples: must be <= {2**28 // 101}, the most rows of 101 floats in one array"),
+        # 10**10 rows of 101 floats are 8 TB: numpy can shape them, the budget refuses them.
+        ("surrogate", "configs/surrogate_minimal.json", "space", "n_samples", 10**10,
+         f"space.n_samples: must be <= {2**28 // 101},"),
         ("surrogate", "configs/surrogate_minimal.json", "space", "n_samples", 10**400, "space.n_samples: must be <="),
         # Rejected before ParameterSpace takes the count's cube root, which overflows a float.
         ("surrogate", "configs/surrogate_minimal.json", None, "space",
          dict(SPACE, sampling="grid", n_samples=10**1000), "space.n_samples: must be <="),
         ("surrogate", "configs/surrogate_minimal.json", "eval", "n_fresh", 10**20, "eval.n_fresh: must be <="),
+        ("surrogate", "configs/surrogate_minimal.json", "eval", "n_fresh", 2**28 // 101 + 1,
+         f"eval.n_fresh: must be <= {2**28 // 101},"),
+        ("surrogate", "configs/surrogate_minimal.json", "data_curve", "sizes", [8, 2**28 // 101 + 1],
+         f"data_curve.sizes[1]: must be <= {2**28 // 101},"),
         # One row of n_nodes floats must fit too; n_nodes is read before the row counts.
         ("solve", "configs/solve_demo.json", None, "n_nodes", 10**20,
-         f"n_nodes: must be <= {sys.maxsize // 8}, got {10**20}"),
+         f"n_nodes: must be <= {2**28}, got {10**20}"),
         ("surrogate", "configs/surrogate_minimal.json", None, "n_nodes", 10**20,
-         f"n_nodes: must be <= {sys.maxsize // 8}, got {10**20}"),
+         f"n_nodes: must be <= {2**28}, got {10**20}"),
+        ("solve", "configs/solve_demo.json", None, "n_nodes", 2**28 + 1,
+         f"n_nodes: must be <= {2**28}, got {2**28 + 1}"),
     ],
     ids=["n_fresh-0", "repetitions-0", "repetitions-1e12", "n_predictions-negative", "curve-size-0", "regression-n-1",
          "multiplier-negative", "n_nodes-2", "ratios-sum", "ratios-negative", "n_predictions-huge",
          "ledger-n_predictions-huge", "grid-not-a-cube", "curve-grid-size-not-a-cube", "n_samples-0",
-         "max_epochs-0", "ledger-n_predictions-negative", "n_samples-1e20", "n_samples-1e400",
-         "grid-n_samples-1e1000", "n_fresh-1e20", "solve-n_nodes-1e20", "surrogate-n_nodes-1e20"],
+         "max_epochs-0", "ledger-n_predictions-negative", "n_samples-1e20", "n_samples-1e10", "n_samples-1e400",
+         "grid-n_samples-1e1000", "n_fresh-1e20", "n_fresh-over-budget", "curve-size-over-budget",
+         "solve-n_nodes-1e20", "surrogate-n_nodes-1e20", "solve-n_nodes-over-budget"],
 )
 def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, section, key, value, message):
     doc = json.loads(Path(source).read_text())

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonlab import costs
+from poissonlab.cli import main
 from poissonlab.costs import (
     CostLedger,
     break_even,
@@ -19,6 +20,7 @@ from poissonlab.costs import (
     total_time,
 )
 from poissonlab.errors import ParameterError
+from poissonlab.fileio import read_json
 
 # Two ledgers measured on identical workloads should agree to within
 # this bound; calibrated on the test machine with sleep stubs.
@@ -246,6 +248,19 @@ def test_summary_has_no_break_even_range_without_samples_or_when_invalid():
     assert "break_even_range" in summary(l)
     assert "break_even_range" not in summary(l, diverged=True)
     assert "break_even_range" not in summary(l, rmse_test=math.nan)
+
+
+def test_a_what_if_breakeven_artifact_holds_the_ledger_defaults(tmp_path):
+    # configs/breakeven_demo.json states five ledger fields; the artifact
+    # also holds the defaults of the unstated ones, but no cold_solve.
+    root = Path(__file__).resolve().parent.parent
+    assert main(["breakeven", "--config", str(root / "configs" / "breakeven_demo.json"), "--out", str(tmp_path)]) == 0
+    doc = read_json(tmp_path / "breakeven.json")
+    assert set(doc) == {
+        "t_dg", "t_nt", "t_pr", "t_solve", "n_predictions", "repetitions", "pr_samples", "solve_samples",
+        "cold_prediction", "break_even", "total_time",
+    }
+    assert (doc["repetitions"], doc["pr_samples"], doc["solve_samples"], doc["cold_prediction"]) == (1, [], [], None)
 
 
 def test_the_ledger_loads_neither_statistics_nor_numpy_ma():

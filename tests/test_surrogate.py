@@ -413,10 +413,10 @@ def textbook_predict(model, raw):
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 127, 128, 129, 1000, 1024, 4096])
 def test_predict_equals_the_textbook_standardization_bit_for_bit(n):
-    # From 2 * ann.ROW_BLOCK rows predict standardizes on row tiles; below
-    # that, and for a 1-D row, by the plain expression. Either way the bits
-    # are those of `(x - center) / scale`, and 1,000 rows end in a 40-row
-    # tail.
+    # Predict standardizes rows through `_standardized`, on row tiles from
+    # 2 * ann.ROW_BLOCK rows, and a 1-D row by the plain expression. Either
+    # way the bits are those of `(x - center) / scale`, and 1,000 rows end
+    # in a 40-row tail.
     model = offset_model()
     x = sample_inputs(box_space(n, master_seed=23))
     npt.assert_array_equal(model.predict(x), textbook_predict(model, x))
