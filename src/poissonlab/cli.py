@@ -4,9 +4,12 @@ Subcommands map one-to-one onto pipeline stages: `solve` runs the
 classical solvers, `fit` the least-squares experiment, `train-ann` the
 steepest-descent experiment, `surrogate` the full generate/split/train/
 evaluate/measure pipeline, `breakeven` the what-if cost calculator, and
-`report` renders a completed run as the ten-question table. `surrogate`
-computes the whole run through `surrogate.run` before it writes, so a
-run whose pipeline fails writes no file.
+`report` renders a completed run as the ten-question table. Each
+command writes its files through the one `_Artifacts` that `main` hands
+it and returns its timings; `main` then writes `manifest.json`, so a
+command that raises leaves no manifest. `surrogate` computes the whole
+run through `surrogate.run` before it writes, so a run whose pipeline
+fails writes no file.
 
 Exit codes: 0 success; 2 config error, including a config file that is
 not UTF-8 text and an --out that cannot be a directory; 3 numerical
@@ -47,7 +50,8 @@ def _resolve_out_dir(cfg: ExperimentConfig, args) -> Path:
 
 
 class _Artifacts:
-    """Writes a run's files and records (name, deterministic) for its manifest.
+    """Writes a run's files and records (name, deterministic) for the
+    manifest that `main` writes once the command returns.
 
     The writers are looked up in this module's globals at call time, so
     anything that replaces cli.write_csv, cli.write_json or
@@ -72,13 +76,9 @@ class _Artifacts:
         self.json("train_report.json", report, deterministic=False)
         self.csv("loss.csv", ("epoch", "loss"), enumerate(report.loss_history, start=1))
 
-    def manifest(self, config_doc: dict, timings: dict) -> None:
-        write_manifest(self.out_dir, config_doc, timings=timings, files=self.files)
 
-
-def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> None:
+def cmd_solve(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     cfg.require("problems")
-    out = _Artifacts(out_dir)
     combined = []
     for i, problem in enumerate(cfg.problems):
         analytic = pde.solve_analytic(problem, cfg.n_nodes)
@@ -91,17 +91,16 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> None:
             for x, y in zip(analytic.nodes, analytic.values)
         )
     out.csv("figure1.csv", ("series", "g", "y0", "y1", "x", "y"), combined)
-    out.manifest(cfg.raw, timings={})
-    print(f"wrote {len(out.files)} solution files to {out_dir}")
+    print(f"wrote {len(out.files)} solution files to {out.out_dir}")
+    return {}
 
 
-def cmd_fit(cfg: ExperimentConfig, out_dir: Path) -> None:
+def cmd_fit(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     cfg.require("regression")
     r = cfg.regression
     dataset = regress.generate_synthetic(**asdict(r))
     model = regress.fit_least_squares(dataset)
 
-    out = _Artifacts(out_dir)
     out.csv("dataset.csv", ("x", "y"), zip(dataset.inputs, dataset.targets))
     out.json("dataset.json", dataset.meta)
     out.json("model.json", {"w": model.w, "b": model.b})
@@ -111,8 +110,8 @@ def cmd_fit(cfg: ExperimentConfig, out_dir: Path) -> None:
         ("x", "y_true", "y_fit"),
         zip(line_x, r.true_w * line_x + r.true_b, model.predict(line_x)),
     )
-    out.manifest(cfg.raw, timings={})
-    print(f"fitted w={model.w:.6g} b={model.b:.6g}; artifacts in {out_dir}")
+    print(f"fitted w={model.w:.6g} b={model.b:.6g}; artifacts in {out.out_dir}")
+    return {}
 
 
 def _build_ann_model(cfg: ExperimentConfig) -> ann.MlpModel:
@@ -128,28 +127,26 @@ def _build_ann_model(cfg: ExperimentConfig) -> ann.MlpModel:
     return ann.init_mlp(spec.layer_sizes, transfers=transfers, seed=cfg.train.init_seed)
 
 
-def cmd_train_ann(cfg: ExperimentConfig, out_dir: Path) -> None:
+def cmd_train_ann(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     cfg.require("regression", "ann", "train")
     r = cfg.regression
     dataset = regress.generate_synthetic(**asdict(r))
     model = _build_ann_model(cfg)
     trained, report = ann.train_steepest_descent(model, dataset.inputs, dataset.targets, cfg.train)
 
-    out = _Artifacts(out_dir)
     out.training(trained, report)
-    out.manifest(cfg.raw, timings={"t_nt": report.wall_time})
     print(
         f"training stopped after {report.epochs_run} epochs ({report.stop_reason}); "
-        f"artifacts in {out_dir}"
+        f"artifacts in {out.out_dir}"
     )
+    return {"t_nt": report.wall_time}
 
 
-def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path) -> None:
+def cmd_surrogate(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     run = surrogate.run(cfg)
     dataset, first = run.dataset, run.candidates[0]
     eval_report, verdict = first.eval_report, first.ledger
 
-    out = _Artifacts(out_dir)
     out.csv(
         "inputs.csv",
         (*pde.PARAMETERS, "split"),
@@ -193,24 +190,22 @@ def cmd_surrogate(cfg: ExperimentConfig, out_dir: Path) -> None:
         out.json("arch_sweep.json", {"rows": rows}, deterministic=False)
 
     out.json("cost_ledger.json", verdict, deterministic=False)
-    timings = {key: verdict[key] for key in ("t_dg", "t_nt", "t_pr", "t_solve", "total_time", "break_even")}
-    out.manifest(cfg.raw, timings=timings)
     rmse = eval_report.rmse_test
     print(
         f"surrogate run complete: test RMSE "
         f"{'absent' if rmse is None else format(rmse, '.6g')}, "
-        f"break-even N {verdict['break_even']}; artifacts in {out_dir}"
+        f"break-even N {verdict['break_even']}; artifacts in {out.out_dir}"
     )
+    return {key: verdict[key] for key in ("t_dg", "t_nt", "t_pr", "t_solve", "total_time", "break_even")}
 
 
-def cmd_breakeven(cfg: ExperimentConfig, out_dir: Path) -> None:
+def cmd_breakeven(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     cfg.require("ledger")
     verdict = costs.summary(cfg.ledger)
-    out = _Artifacts(out_dir)
     out.json("breakeven.json", verdict)
-    out.manifest(cfg.raw, timings={})
     print(f"break-even N : {verdict['break_even']}")
     print(f"total time at N={verdict['n_predictions']}: {verdict['total_time']:.6g} s")
+    return {}
 
 
 COMMANDS = {
@@ -244,8 +239,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = parse_config(override_seeds(cfg.raw, args.seed))
-        out_dir = _resolve_out_dir(cfg, args)
-        COMMANDS[args.command](cfg, out_dir)
+        out = _Artifacts(_resolve_out_dir(cfg, args))
+        timings = COMMANDS[args.command](cfg, out)
+        write_manifest(out.out_dir, cfg.raw, timings=timings, files=out.files)
         return 0
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .ann import TRANSFERS, TrainConfig
 from .costs import CostLedger, check_n_predictions
 from .errors import ConfigError, ParameterError
 from .pde import DEFAULT_N_NODES, PARAMETERS, PoissonProblem
-from .surrogate import SAMPLINGS, SPLIT_TAGS, ParameterSpace, check_split_ratios
+from .surrogate import SAMPLINGS, SPLIT_TAGS, ParameterSpace, check_split_ratios, scaled_space
 
 
 def _check_keys(obj, path: str, known, required) -> None:
@@ -203,17 +203,25 @@ _transfer = _one_of(*TRANSFERS)
 _problem = _Section(PoissonProblem, g=_number, x0=_number, x1=_number, y0=_number, y1=_number)
 
 # A policy bound on memory, as costs.repetitions' is on time: an array that
-# config counts size (one row of n_nodes floats, or count such rows) holds at
-# most 2**28 float64 values (2 GiB), so a larger count exits 2 when parsed.
+# config counts size (count rows of n_nodes floats, a fan_out x fan_in weight
+# matrix, the (n, 2) design matrix) holds at most 2**28 float64 values
+# (2 GiB), so a larger count exits 2 when parsed.
 _FLOAT_BUDGET = 2**28
+
+# A Thomas solve holds Python objects per node, not one float: tracemalloc
+# reads about 232 B a node for one pde.solve_fdm and about 430 B a node for a
+# batched fdm_values, plus 24 B a node per problem. At 512 B (64 floats) a
+# node, the largest solve a command makes, a surrogate's grid-transfer check
+# on 2 * n_nodes - 1 nodes, fits the same budget: n_nodes <= 2**21.
+_MAX_NODES = (_FLOAT_BUDGET // 64 + 1) // 2
 
 # Top-level key -> (ExperimentConfig attribute, reader).
 SECTIONS = {
     "problems": ("problems", _list_of(_problem, min_len=1)),
-    "n_nodes": ("n_nodes", _at_least(3, _FLOAT_BUDGET)),
+    "n_nodes": ("n_nodes", _at_least(3, _MAX_NODES)),
     "regression": ("regression", _Section(
-        RegressionSpec, n=_at_least(2), true_w=_number, true_b=_number, x_range=_interval,
-        noise_amplitude=_number, seed=_seed)),
+        RegressionSpec, n=_at_least(2, _FLOAT_BUDGET // 2), true_w=_number, true_b=_number,
+        x_range=_interval, noise_amplitude=_number, seed=_seed)),
     "ann": ("ann_spec", _Section(
         AnnSpec, layer_sizes=_list_of(_width, min_len=2), transfers=_list_of(_transfer),
         init_weights=_list_of(_list_of(_list_of(_number))), init_biases=_list_of(_list_of(_number)))),
@@ -296,6 +304,16 @@ def _check_row_counts(section, key: str, n_nodes: int) -> None:
             raise ConfigError(f"{path}: must be <= {limit}, the most rows of {n_nodes} floats in one array")
 
 
+def _layouts(cfg: ExperimentConfig):
+    """(key, layer sizes) of every network the config describes."""
+    if cfg.ann_spec is not None:
+        yield "ann.layer_sizes", cfg.ann_spec.layer_sizes
+    if cfg.arch is not None:
+        yield "arch.hidden", cfg.arch.layer_sizes(cfg.n_nodes)
+    for i, hidden in enumerate(cfg.arch_sweep or ()):
+        yield f"arch_sweep[{i}]", (len(PARAMETERS), *hidden, cfg.n_nodes)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     _check_keys(doc, "config", SECTIONS, ())
     cfg = ExperimentConfig(raw=doc)
@@ -303,13 +321,25 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if key in doc:
             _check_row_counts(doc[key], key, cfg.n_nodes)
             setattr(cfg, attr, reader(doc[key], key))
-    # Each data-curve point samples the space at its own size.
+    for path, sizes in _layouts(cfg):
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            if fan_out * fan_in > _FLOAT_BUDGET:
+                raise ConfigError(
+                    f"{path}: a {fan_out} x {fan_in} weight matrix holds more than {_FLOAT_BUDGET} floats")
+    # Each data-curve point samples the space at its own size, and each
+    # evaluation multiplier widens it.
     if cfg.data_curve is not None and cfg.space is not None:
         for i, size in enumerate(cfg.data_curve.sizes):
             try:
                 replace(cfg.space, n_samples=size)
             except ParameterError as exc:
                 raise ConfigError(f"data_curve.sizes[{i}]: {exc}") from exc
+    if cfg.eval_spec is not None and cfg.space is not None:
+        for i, multiplier in enumerate(cfg.eval_spec.multipliers):
+            try:
+                scaled_space(cfg.space, multiplier)
+            except ParameterError as exc:
+                raise ConfigError(f"eval.multipliers[{i}]: {exc}") from exc
     return cfg
 
 

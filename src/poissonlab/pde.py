@@ -26,7 +26,8 @@ DEFAULT_N_NODES = 101
 
 
 def _check_parameters(g, x0, x1, y0, y1) -> None:
-    """Raise ParameterError unless all are finite and x0 < x1; for vectors
+    """Raise ParameterError unless all are finite, x0 < x1 and x1 - x0 is
+    finite (the grid spacing is a fraction of it); for vectors
     g, y0, y1 (one problem per entry, all on [x0, x1]) name the first bad one."""
     if getattr(g, "ndim", 0):
         _check_parameters(0.0, x0, x1, 0.0, 0.0)
@@ -43,6 +44,8 @@ def _check_parameters(g, x0, x1, y0, y1) -> None:
             raise ParameterError(f"{name} must be finite, got {value!r}")
     if not x0 < x1:
         raise ParameterError(f"need x0 < x1, got [{x0}, {x1}]")
+    if not math.isfinite(x1 - x0):
+        raise ParameterError(f"[x0, x1] must have a finite width, got [{x0}, {x1}]")
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,8 @@ def generate_synthetic(
         raise ParameterError(f"n must be >= 2, got {n}")
     if not lo < hi:
         raise ParameterError(f"x_range must satisfy lo < hi, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ParameterError(f"x_range must have a finite width, got [{lo}, {hi}]")
     if noise_amplitude < 0:
         raise ParameterError(f"noise_amplitude must be >= 0, got {noise_amplitude}")
     rng = np.random.default_rng(seed)

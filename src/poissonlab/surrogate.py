@@ -66,6 +66,8 @@ class ParameterSpace:
                 raise ParameterError(f"{name} must have a finite width, got [{lo}, {hi}]")
         if not self.x0 < self.x1:
             raise ParameterError(f"need x0 < x1, got [{self.x0}, {self.x1}]")
+        if not math.isfinite(self.x1 - self.x0):
+            raise ParameterError(f"[x0, x1] must have a finite width, got [{self.x0}, {self.x1}]")
         if self.n_samples < 1:
             raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.sampling not in SAMPLINGS:

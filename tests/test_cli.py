@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poissonlab
-from poissonlab import costs, surrogate
+from poissonlab import ann, costs, pde, surrogate
 from poissonlab.cli import main
 from poissonlab.config import SECTIONS, load_config, override_seeds, parse_config
-from poissonlab.errors import ConfigError, ParameterError
+from poissonlab.errors import ConfigError, ParameterError, ShapeError
 from poissonlab.fileio import read_json, sha256_file, write_json
 
 SPACE = {
@@ -302,20 +302,34 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
          f"eval.n_fresh: must be <= {2**28 // 101},"),
         ("surrogate", "configs/surrogate_minimal.json", "data_curve", "sizes", [8, 2**28 // 101 + 1],
          f"data_curve.sizes[1]: must be <= {2**28 // 101},"),
-        # One row of n_nodes floats must fit too; n_nodes is read before the row counts.
+        # A Thomas solve holds about 430 B a node: at 512 B a node, a surrogate's
+        # 2 * n_nodes - 1 node transfer grid fits the budget up to 2**21 nodes.
+        # n_nodes is read before the row counts.
         ("solve", "configs/solve_demo.json", None, "n_nodes", 10**20,
-         f"n_nodes: must be <= {2**28}, got {10**20}"),
+         f"n_nodes: must be <= {2**21}, got {10**20}"),
         ("surrogate", "configs/surrogate_minimal.json", None, "n_nodes", 10**20,
-         f"n_nodes: must be <= {2**28}, got {10**20}"),
-        ("solve", "configs/solve_demo.json", None, "n_nodes", 2**28 + 1,
-         f"n_nodes: must be <= {2**28}, got {2**28 + 1}"),
+         f"n_nodes: must be <= {2**21}, got {10**20}"),
+        ("solve", "configs/solve_demo.json", None, "n_nodes", 2**21 + 1,
+         f"n_nodes: must be <= {2**21}, got {2**21 + 1}"),
+        # Each fan_out x fan_in weight matrix, with the input width and n_nodes
+        # counted, and the (n, 2) design matrix fit the same budget.
+        ("surrogate", "configs/surrogate_minimal.json", "arch", "hidden", [10**9],
+         f"arch.hidden: a {10**9} x 3 weight matrix holds more than {2**28} floats"),
+        ("surrogate", "configs/surrogate_minimal.json", "arch", "hidden", [2**28 // 101 + 1],
+         f"arch.hidden: a 101 x {2**28 // 101 + 1} weight matrix holds more than {2**28} floats"),
+        ("surrogate", "configs/surrogate_tanh.json", None, "arch_sweep", [[8], [2**14, 2**14 + 1]],
+         f"arch_sweep[1]: a {2**14 + 1} x {2**14} weight matrix holds more than {2**28} floats"),
+        ("train-ann", "configs/train_ann_demo.json", None, "ann", {"layer_sizes": [1, 10**9, 1]},
+         f"ann.layer_sizes: a {10**9} x 1 weight matrix holds more than {2**28} floats"),
+        ("fit", "configs/fit_demo.json", "regression", "n", 2**27 + 1, f"regression.n: must be <= {2**27}, got"),
     ],
     ids=["n_fresh-0", "repetitions-0", "repetitions-1e12", "n_predictions-negative", "curve-size-0", "regression-n-1",
          "multiplier-negative", "n_nodes-2", "ratios-sum", "ratios-negative", "n_predictions-huge",
          "ledger-n_predictions-huge", "grid-not-a-cube", "curve-grid-size-not-a-cube", "n_samples-0",
          "max_epochs-0", "ledger-n_predictions-negative", "n_samples-1e20", "n_samples-1e10", "n_samples-1e400",
          "grid-n_samples-1e1000", "n_fresh-1e20", "n_fresh-over-budget", "curve-size-over-budget",
-         "solve-n_nodes-1e20", "surrogate-n_nodes-1e20", "solve-n_nodes-over-budget"],
+         "solve-n_nodes-1e20", "surrogate-n_nodes-1e20", "solve-n_nodes-over-budget", "hidden-1e9",
+         "hidden-over-budget", "sweep-over-budget", "layer_sizes-1e9", "regression-n-over-budget"],
 )
 def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, section, key, value, message):
     doc = json.loads(Path(source).read_text())
@@ -325,6 +339,60 @@ def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, sect
     assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "command, source, section, key, value, message",
+    [
+        ("solve", "configs/solve_demo.json", None, "problems",
+         [{"g": 0.0, "x0": -1e308, "x1": 1e308, "y0": 0.0, "y1": 0.0}],
+         "problems[0]: [x0, x1] must have a finite width, got [-1e+308, 1e+308]"),
+        ("surrogate", "configs/surrogate_minimal.json", None, "space", dict(SPACE, x0=-1e308, x1=1e308),
+         "space: [x0, x1] must have a finite width, got [-1e+308, 1e+308]"),
+        # Widened by 1e308, g_range [0, 4] spans more than the largest float.
+        ("surrogate", "configs/surrogate_minimal.json", "eval", "multipliers", [1.0, 1e308],
+         "eval.multipliers[1]: g_range must have a finite width"),
+        # The config parses; generate_synthetic rejects the range before any work.
+        ("fit", "configs/fit_demo.json", "regression", "x_range", [-1e308, 1e308],
+         "x_range must have a finite width, got [-1e+308, 1e+308]"),
+    ],
+    ids=["solve-domain", "surrogate-domain", "multiplier-1e308", "regression-x_range"],
+)
+def test_infinite_width_exits_two_before_any_work(
+    tmp_path, capsys, monkeypatch, command, source, section, key, value, message
+):
+    # Each finite value passes alone; the width it implies overflows to inf.
+    doc = json.loads(Path(source).read_text())
+    (doc if section is None else doc[section])[key] = value
+    trainings = []
+    train = ann.train_steepest_descent
+    monkeypatch.setattr(ann, "train_steepest_descent", lambda *a, **k: trainings.append(a) or train(*a, **k))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+    assert trainings == []
+
+
+def test_command_failing_after_parse_writes_no_manifest(tmp_path, capsys, monkeypatch):
+    doc = json.loads(Path("configs/fit_demo.json").read_text())
+    doc["regression"]["x_range"] = [-1e308, 1e308]
+    parse_config(doc)  # the range fails in regress.generate_synthetic, after the parse
+    out = tmp_path / "out"
+    assert main(["fit", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
+    # A command that raises after writing some files leaves them, but no manifest.
+    solve_fdm = pde.solve_fdm
+
+    def fail_on_the_third(problem, n_nodes):
+        if problem.g == -2.0:
+            raise ShapeError("the third solve failed")
+        return solve_fdm(problem, n_nodes)
+
+    monkeypatch.setattr(pde, "solve_fdm", fail_on_the_third)
+    assert main(["solve", "--config", "configs/solve_demo.json", "--out", str(out)]) == 3
+    assert "the third solve failed" in capsys.readouterr().err
+    assert {p.name for p in out.iterdir()} == {f"solution_{i}_{p}.csv" for i in (0, 1) for p in ("analytic", "fdm")}
 
 
 # -- solve -------------------------------------------------------------
@@ -467,13 +535,31 @@ def test_failed_surrogate_run_writes_nothing(tmp_path, capsys, monkeypatch):
     assert list(out.glob("*")) == []
 
 
-def test_surrogate_manifest_lists_every_file(surrogate_run):
-    manifest = read_json(surrogate_run / "manifest.json")
-    listed = {entry["name"] for entry in manifest["files"]}
-    on_disk = {p.name for p in surrogate_run.iterdir()} - {"manifest.json"}
-    assert listed == on_disk
+# The timings each command returns for main to write into its manifest.
+MANIFEST_TIMINGS = {
+    "solve": set(), "fit": set(), "breakeven": set(), "train-ann": {"t_nt"},
+    "surrogate": {"t_dg", "t_nt", "t_pr", "t_solve", "total_time", "break_even"},
+}
+
+
+DEMO_COMMANDS = {
+    "breakeven_demo": "breakeven", "fit_demo": "fit", "solve_demo": "solve",
+    "surrogate_minimal": "surrogate", "surrogate_tanh": "surrogate", "train_ann_demo": "train-ann",
+}
+
+
+@pytest.mark.parametrize("name", DEMO_COMMANDS)
+def test_manifest_lists_every_file(tmp_path, capsys, name):
+    source, command = Path("configs") / f"{name}.json", DEMO_COMMANDS[name]
+    out = tmp_path / "run"
+    assert main([command, "--config", str(source), "--out", str(out)]) == 0
+    manifest = read_json(out / "manifest.json")
+    listed = [entry["name"] for entry in manifest["files"]]
+    assert sorted(listed) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
     for entry in manifest["files"]:
-        assert sha256_file(surrogate_run / entry["name"]) == entry["sha256"]
+        assert sha256_file(out / entry["name"]) == entry["sha256"]
+    assert manifest["config"] == json.loads(source.read_text())
+    assert set(manifest["timings"]) == MANIFEST_TIMINGS[command]
 
 
 def test_surrogate_manifest_records_seeds(tmp_path):
