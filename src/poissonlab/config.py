@@ -12,13 +12,16 @@ Readers check a value's kind before using it. Numbers must be finite:
 `json.loads` accepts `NaN` and `Infinity` and reads `1e309` as inf.
 Unknown keys and every other rejection raise `ConfigError` with the
 key's path, such as `ledger.t_dg`; a domain object's `ParameterError`
-is re-raised as one with its section's path.
+is re-raised as one with its section's path. The memory budget has one
+home, `_arrays`: every array a command sizes from the config, each held
+to `_FLOAT_BUDGET` floats by one check in `parse_config`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -155,7 +158,9 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        check_split_ratios(self.ratios)
+        # split_dataset floors the val and test counts, so shares summing below 1 leave a train row.
+        if sum(check_split_ratios(self.ratios)[1:]) >= 1:
+            raise ParameterError(f"ratios must leave the train split a share > 0, got {list(self.ratios)}")
 
 
 @dataclass(frozen=True)
@@ -202,25 +207,16 @@ class OutputSpec:
 _transfer = _one_of(*TRANSFERS)
 _problem = _Section(PoissonProblem, g=_number, x0=_number, x1=_number, y0=_number, y1=_number)
 
-# A policy bound on memory, as costs.repetitions' is on time: an array that
-# config counts size (count rows of n_nodes floats, a fan_out x fan_in weight
-# matrix, the (n, 2) design matrix) holds at most 2**28 float64 values
-# (2 GiB), so a larger count exits 2 when parsed.
+# A policy bound on memory, as costs.repetitions' is on time: no array in
+# `_arrays` may hold more than 2**28 float64 values (2 GiB).
 _FLOAT_BUDGET = 2**28
-
-# A Thomas solve holds Python objects per node, not one float: tracemalloc
-# reads about 232 B a node for one pde.solve_fdm and about 430 B a node for a
-# batched fdm_values, plus 24 B a node per problem. At 512 B (64 floats) a
-# node, the largest solve a command makes, a surrogate's grid-transfer check
-# on 2 * n_nodes - 1 nodes, fits the same budget: n_nodes <= 2**21.
-_MAX_NODES = (_FLOAT_BUDGET // 64 + 1) // 2
 
 # Top-level key -> (ExperimentConfig attribute, reader).
 SECTIONS = {
     "problems": ("problems", _list_of(_problem, min_len=1)),
-    "n_nodes": ("n_nodes", _at_least(3, _MAX_NODES)),
+    "n_nodes": ("n_nodes", _at_least(3)),
     "regression": ("regression", _Section(
-        RegressionSpec, n=_at_least(2, _FLOAT_BUDGET // 2), true_w=_number, true_b=_number,
+        RegressionSpec, n=_at_least(2), true_w=_number, true_b=_number,
         x_range=_interval, noise_amplitude=_number, seed=_seed)),
     "ann": ("ann_spec", _Section(
         AnnSpec, layer_sizes=_list_of(_width, min_len=2), transfers=_list_of(_transfer),
@@ -228,9 +224,12 @@ SECTIONS = {
     "train": ("train", _Section(
         TrainConfig, learning_rate=_number, stop_tolerance=_number, max_epochs=_width,
         init_seed=_seed)),
+    # Not a memory bound: ParameterSpace takes the count's cube root when built,
+    # which overflows a float past about 10**924.
     "space": ("space", _Section(
         ParameterSpace, **{f"{p}_range": _interval for p in PARAMETERS}, x0=_number,
-        x1=_number, sampling=_one_of(*SAMPLINGS), n_samples=_width, master_seed=_seed)),
+        x1=_number, sampling=_one_of(*SAMPLINGS), n_samples=_at_least(1, sys.float_info.max),
+        master_seed=_seed)),
     "split": ("split", _Section(
         SplitSpec, ratios=_list_of(_number, len(SPLIT_TAGS), len(SPLIT_TAGS)), seed=_seed)),
     "arch": ("arch", _Section(
@@ -287,31 +286,33 @@ class ExperimentConfig:
                 raise ConfigError(f"config is missing the required `{key}` section")
 
 
-# The count in each section that sizes a (count, n_nodes) float64 array;
-# `SECTIONS` puts n_nodes before these sections.
-_ROW_COUNTS = {"space": "n_samples", "data_curve": "sizes", "eval": "n_fresh"}
-
-
-def _check_row_counts(section, key: str, n_nodes: int) -> None:
-    """Reject a count whose array would hold more than _FLOAT_BUDGET floats before the section
-    is built, as `ParameterSpace` takes its cube root; other kinds are left to the reader."""
-    name = _ROW_COUNTS.get(key)
-    value = section.get(name) if isinstance(section, dict) else None
-    limit = _FLOAT_BUDGET // n_nodes
-    for i, count in enumerate(value if isinstance(value, list) else [value]):
-        if isinstance(count, int) and count > limit:
-            path = f"{key}.{name}" + (f"[{i}]" if isinstance(value, list) else "")
-            raise ConfigError(f"{path}: must be <= {limit}, the most rows of {n_nodes} floats in one array")
-
-
-def _layouts(cfg: ExperimentConfig):
-    """(key, layer sizes) of every network the config describes."""
-    if cfg.ann_spec is not None:
-        yield "ann.layer_sizes", cfg.ann_spec.layer_sizes
-    if cfg.arch is not None:
-        yield "arch.hidden", cfg.arch.layer_sizes(cfg.n_nodes)
-    for i, hidden in enumerate(cfg.arch_sweep or ()):
-        yield f"arch_sweep[{i}]", (len(PARAMETERS), *hidden, cfg.n_nodes)
+def _arrays(cfg: ExperimentConfig):
+    """(key, rows, columns, array) of every array a command sizes from the config."""
+    n_nodes = cfg.n_nodes
+    # A Thomas solve holds about 430 B a node (tracemalloc, a batched fdm_values):
+    # at 64 floats a node, a surrogate's grid-transfer solve on 2 * n_nodes - 1 nodes.
+    yield "n_nodes", n_nodes, 128, "solve workspace"
+    nets = {"arch.hidden": cfg.arch.layer_sizes(n_nodes)} if cfg.arch is not None else {}
+    nets.update((f"arch_sweep[{i}]", (len(PARAMETERS), *h, n_nodes)) for i, h in enumerate(cfg.arch_sweep or ()))
+    ann_sizes = () if cfg.ann_spec is None else cfg.ann_spec.layer_sizes
+    for key, sizes in {"ann.layer_sizes": ann_sizes, **nets}.items():
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            yield key, fan_out, fan_in, "weight matrix"
+    # One row per sample of the outputs, the predictions and every layer's activations.
+    width = max([n_nodes, *(w for sizes in nets.values() for w in sizes)])
+    array = "activation" if width > n_nodes else "output array"
+    if cfg.space is not None:
+        yield "space.n_samples", cfg.space.n_samples, width, array
+        if cfg.split is not None:  # its test rows, counted as split_dataset counts them
+            tests = int(cfg.space.n_samples * cfg.split_ratios[2])
+            yield "space.n_samples", tests, 2 * n_nodes - 1, "grid-transfer reference"
+    if cfg.eval_spec is not None:
+        yield "eval.n_fresh", cfg.eval_spec.n_fresh, width, array
+    for i, size in enumerate(cfg.data_curve.sizes if cfg.data_curve is not None else ()):
+        yield f"data_curve.sizes[{i}]", size, width, array
+    if cfg.regression is not None:  # fit's (n, 2) design matrix, and train-ann's activations
+        widest = max([2, *ann_sizes])
+        yield "regression.n", cfg.regression.n, widest, "activation" if widest > 2 else "design matrix"
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -319,13 +320,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(raw=doc)
     for key, (attr, reader) in SECTIONS.items():
         if key in doc:
-            _check_row_counts(doc[key], key, cfg.n_nodes)
             setattr(cfg, attr, reader(doc[key], key))
-    for path, sizes in _layouts(cfg):
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            if fan_out * fan_in > _FLOAT_BUDGET:
-                raise ConfigError(
-                    f"{path}: a {fan_out} x {fan_in} weight matrix holds more than {_FLOAT_BUDGET} floats")
+    # Checked before the data curve's sizes build spaces, whose cube roots overflow.
+    for key, rows, columns, array in _arrays(cfg):
+        if rows * columns > _FLOAT_BUDGET:
+            raise ConfigError(f"{key}: a {rows} x {columns} {array} holds more than {_FLOAT_BUDGET} floats")
     # Each data-curve point samples the space at its own size, and each
     # evaluation multiplier widens it.
     if cfg.data_curve is not None and cfg.space is not None:

@@ -24,13 +24,24 @@ MANIFEST_NAME = "manifest.json"
 TOOL_NAME = "poissonlab"
 
 
+def _blas_build() -> str:
+    """Name and version of the BLAS numpy was built with, or "unknown" where numpy cannot say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".rstrip()
+
+
 def machine_descriptor() -> dict:
     """Where a run ran, read without starting a child process.
 
     `platform.processor()`, and `platform.platform()`, which reads it,
     run `uname -p` on Linux for a field that comes back '' there and
     repeats `machine` on macOS; the platform string is therefore built
-    from `platform.uname()`'s system, release and machine.
+    from `platform.uname()`'s system, release and machine. `blas` is
+    recorded because the batched forward pass's operand bounds were
+    measured on one BLAS build.
     """
     uname = platform.uname()
     return {
@@ -39,6 +50,7 @@ def machine_descriptor() -> dict:
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
+        "blas": _blas_build(),
     }
 
 

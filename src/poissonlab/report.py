@@ -58,6 +58,7 @@ def _machine_line(manifest: dict) -> str:
         f"{m.get('cpu_count', '?')} cores",
         f"Python {m.get('python', '?')}",
         f"numpy {m.get('numpy', '?')}",
+        f"BLAS {m.get('blas', '?')}",
     ]
     return "; ".join(parts)
 

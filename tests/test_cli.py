@@ -11,6 +11,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from poissonlab.cli import main
 from poissonlab.config import SECTIONS, load_config, override_seeds, parse_config
 from poissonlab.errors import ConfigError, ParameterError, ShapeError
 from poissonlab.fileio import read_json, sha256_file, write_json
+from poissonlab.manifest import machine_descriptor
 
 SPACE = {
     "g_range": [0.0, 4.0],
@@ -289,28 +291,29 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
          "ledger.n_predictions: must be >= 0"),
         # A (count, n_nodes) array of floats may hold at most 2**28 values.
         ("surrogate", "configs/surrogate_minimal.json", "space", "n_samples", 10**20,
-         f"space.n_samples: must be <= {2**28 // 101}, the most rows of 101 floats in one array"),
+         f"space.n_samples: a {10**20} x 101 output array holds more than {2**28} floats"),
         # 10**10 rows of 101 floats are 8 TB: numpy can shape them, the budget refuses them.
         ("surrogate", "configs/surrogate_minimal.json", "space", "n_samples", 10**10,
-         f"space.n_samples: must be <= {2**28 // 101},"),
+         f"space.n_samples: a {10**10} x 101 output array holds more than {2**28} floats"),
         ("surrogate", "configs/surrogate_minimal.json", "space", "n_samples", 10**400, "space.n_samples: must be <="),
         # Rejected before ParameterSpace takes the count's cube root, which overflows a float.
         ("surrogate", "configs/surrogate_minimal.json", None, "space",
          dict(SPACE, sampling="grid", n_samples=10**1000), "space.n_samples: must be <="),
-        ("surrogate", "configs/surrogate_minimal.json", "eval", "n_fresh", 10**20, "eval.n_fresh: must be <="),
+        ("surrogate", "configs/surrogate_minimal.json", "eval", "n_fresh", 10**20,
+         f"eval.n_fresh: a {10**20} x 101 output array holds more than"),
         ("surrogate", "configs/surrogate_minimal.json", "eval", "n_fresh", 2**28 // 101 + 1,
-         f"eval.n_fresh: must be <= {2**28 // 101},"),
+         f"eval.n_fresh: a {2**28 // 101 + 1} x 101 output array holds more than {2**28} floats"),
         ("surrogate", "configs/surrogate_minimal.json", "data_curve", "sizes", [8, 2**28 // 101 + 1],
-         f"data_curve.sizes[1]: must be <= {2**28 // 101},"),
+         f"data_curve.sizes[1]: a {2**28 // 101 + 1} x 101 output array holds more than {2**28} floats"),
         # A Thomas solve holds about 430 B a node: at 512 B a node, a surrogate's
         # 2 * n_nodes - 1 node transfer grid fits the budget up to 2**21 nodes.
-        # n_nodes is read before the row counts.
+        # n_nodes is the inventory's first row.
         ("solve", "configs/solve_demo.json", None, "n_nodes", 10**20,
-         f"n_nodes: must be <= {2**21}, got {10**20}"),
+         f"n_nodes: a {10**20} x 128 solve workspace holds more than {2**28} floats"),
         ("surrogate", "configs/surrogate_minimal.json", None, "n_nodes", 10**20,
-         f"n_nodes: must be <= {2**21}, got {10**20}"),
+         f"n_nodes: a {10**20} x 128 solve workspace holds more than {2**28} floats"),
         ("solve", "configs/solve_demo.json", None, "n_nodes", 2**21 + 1,
-         f"n_nodes: must be <= {2**21}, got {2**21 + 1}"),
+         f"n_nodes: a {2**21 + 1} x 128 solve workspace holds more than {2**28} floats"),
         # Each fan_out x fan_in weight matrix, with the input width and n_nodes
         # counted, and the (n, 2) design matrix fit the same budget.
         ("surrogate", "configs/surrogate_minimal.json", "arch", "hidden", [10**9],
@@ -321,7 +324,19 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
          f"arch_sweep[1]: a {2**14 + 1} x {2**14} weight matrix holds more than {2**28} floats"),
         ("train-ann", "configs/train_ann_demo.json", None, "ann", {"layer_sizes": [1, 10**9, 1]},
          f"ann.layer_sizes: a {10**9} x 1 weight matrix holds more than {2**28} floats"),
-        ("fit", "configs/fit_demo.json", "regression", "n", 2**27 + 1, f"regression.n: must be <= {2**27}, got"),
+        ("fit", "configs/fit_demo.json", "regression", "n", 2**27 + 1,
+         f"regression.n: a {2**27 + 1} x 2 design matrix holds more than {2**28} floats"),
+        # Every weight matrix fits; the activations, or the test rows on the
+        # finer grid, do not.
+        ("train-ann", "configs/train_ann_demo.json", None, None,
+         {"regression": dict(REGRESSION, n=2**27), "ann": {"layer_sizes": [1, 16384, 1]}},
+         f"regression.n: a {2**27} x 16384 activation holds more than {2**28} floats"),
+        ("surrogate", "configs/surrogate_minimal.json", None, None,
+         {"space": dict(SPACE, n_samples=2**28 // 101), "arch": {"hidden": [16384]}},
+         f"space.n_samples: a {2**28 // 101} x 16384 activation holds more than {2**28} floats"),
+        ("surrogate", "configs/surrogate_minimal.json", None, None,
+         {"space": dict(SPACE, n_samples=2**28 // 101), "split": {"ratios": [0.1, 0, 0.9], "seed": 3}},
+         f"space.n_samples: a {int(2**28 // 101 * 0.9)} x 201 grid-transfer reference holds more than"),
     ],
     ids=["n_fresh-0", "repetitions-0", "repetitions-1e12", "n_predictions-negative", "curve-size-0", "regression-n-1",
          "multiplier-negative", "n_nodes-2", "ratios-sum", "ratios-negative", "n_predictions-huge",
@@ -329,16 +344,37 @@ def test_unreadable_input_exits_with_its_code(tmp_path, capsys, argv, files, cod
          "max_epochs-0", "ledger-n_predictions-negative", "n_samples-1e20", "n_samples-1e10", "n_samples-1e400",
          "grid-n_samples-1e1000", "n_fresh-1e20", "n_fresh-over-budget", "curve-size-over-budget",
          "solve-n_nodes-1e20", "surrogate-n_nodes-1e20", "solve-n_nodes-over-budget", "hidden-1e9",
-         "hidden-over-budget", "sweep-over-budget", "layer_sizes-1e9", "regression-n-over-budget"],
+         "hidden-over-budget", "sweep-over-budget", "layer_sizes-1e9", "regression-n-over-budget",
+         "regression-n-activations", "n_samples-activations", "n_samples-transfer-reference"],
 )
 def test_bad_count_exits_two_when_parsed(tmp_path, capsys, command, source, section, key, value, message):
     doc = json.loads(Path(source).read_text())
-    # section None sets a top-level key.
-    (doc if section is None else doc[section])[key] = value
+    # section None sets a top-level key, and key None each top-level key of the value.
+    if key is None:
+        doc.update(value)
+    else:
+        (doc if section is None else doc[section])[key] = value
     out = tmp_path / "out"
     assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("ratios", [[0, 0.5, 0.5], [0, 1, 0], [1e-12, 0.5, 0.5]],
+                         ids=["zero-train", "all-val", "train-within-the-sum-tolerance"])
+def test_empty_train_split_exits_two_before_any_sample_is_solved(tmp_path, capsys, monkeypatch, ratios):
+    # The val and test counts are floored, so shares summing below 1 leave a
+    # train row; [1e-12, 0.5, 0.5] sums to 1 within tolerance and leaves none.
+    doc = json.loads(Path("configs/surrogate_minimal.json").read_text())
+    doc["split"]["ratios"] = ratios
+    generated = []
+    generate = surrogate.generate_dataset
+    monkeypatch.setattr(surrogate, "generate_dataset", lambda *a, **k: generated.append(a) or generate(*a, **k))
+    out = tmp_path / "out"
+    assert main(["surrogate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert "split: ratios must leave the train split a share > 0" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+    assert generated == []
 
 
 @pytest.mark.parametrize(
@@ -593,6 +629,19 @@ def test_machine_descriptor_starts_no_child_process():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "processor" not in proc.stdout
+
+
+def test_report_names_the_blas_build(tmp_path, capsys, monkeypatch):
+    assert main(["solve", "--config", "configs/solve_demo.json", "--out", str(tmp_path)]) == 0
+    blas = read_json(tmp_path / "manifest.json")["machine"]["blas"]
+    # numpy from 1.26 names its BLAS build.
+    assert (blas != "unknown") == (np.lib.NumpyVersion(np.__version__) >= "1.26.0")
+    capsys.readouterr()
+    assert main(["report", "--run", str(tmp_path)]) == 0
+    assert f"; BLAS {blas}" in next(row for row in capsys.readouterr().out.splitlines() if row.startswith("Q1"))
+    # numpy before 1.26 takes no `mode` and prints its config instead.
+    monkeypatch.setattr("numpy.show_config", lambda: None)
+    assert machine_descriptor()["blas"] == "unknown"
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():

@@ -5,12 +5,13 @@ renders as the ten-question report."""
 import copy
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from poissonlab.cli import main
-from poissonlab.config import SECTIONS, override_seeds, parse_config
+from poissonlab.config import SECTIONS, _arrays, override_seeds, parse_config
 from poissonlab.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,23 +103,61 @@ def test_seed_override_replaces_exactly_the_seed_keys():
 
 
 def test_row_count_limit_is_the_float_budget():
-    # A (count, n_nodes) array may hold at most 2**28 floats (2 GiB), far
-    # below the largest array numpy can shape. Only parsed: no run here
-    # allocates a count at the limit.
-    base = json.loads((ROOT / "configs" / "surrogate_minimal.json").read_text())
-    n_nodes = base["n_nodes"]
-    limit = 2**28 // n_nodes
-    for path, set_count in (
-        ("space.n_samples", lambda doc, n: doc["space"].update(n_samples=n)),
-        ("eval.n_fresh", lambda doc, n: doc["eval"].update(n_fresh=n)),
-        (r"data_curve.sizes\[1\]", lambda doc, n: doc["data_curve"].update(sizes=[8, n])),
+    # No array of the inventory may hold more than 2**28 floats (2 GiB), far
+    # below the largest array numpy can shape: each row's count parses at its
+    # limit and is rejected one past it. Only parsed: no run here allocates a
+    # count at the limit.
+    rows_of_101 = 2**28 // 101
+    # With a 0.75 test share, the most samples whose test rows fit on 201 nodes.
+    test_rows_of_201 = (4 * (2**28 // 201 + 1) - 1) // 3
+
+    def space(doc, n, **edits):
+        doc["space"]["n_samples"] = n
+        doc.update(edits)
+
+    for source, path, array, set_count, limit in (
+        ("surrogate_minimal", "n_nodes", "solve workspace", lambda doc, n: doc.update(n_nodes=n), 2**21),
+        ("surrogate_minimal", "arch.hidden", "weight matrix",
+         lambda doc, n: doc["arch"].update(hidden=[n]), rows_of_101),
+        ("surrogate_tanh", r"arch_sweep\[1\]", "weight matrix",
+         lambda doc, n: doc.update(arch_sweep=[[8], [2**14, n]]), 2**14),
+        ("train_ann_demo", "ann.layer_sizes", "weight matrix",
+         lambda doc, n: doc["ann"].update(layer_sizes=[2**14, n]), 2**14),
+        ("surrogate_minimal", "space.n_samples", "output array", space, rows_of_101),
+        ("surrogate_minimal", "space.n_samples", "activation",
+         lambda doc, n: space(doc, n, arch={"hidden": [2**14]}), 2**14),
+        ("surrogate_minimal", "space.n_samples", "grid-transfer reference",
+         lambda doc, n: space(doc, n, split={"ratios": [0.25, 0, 0.75], "seed": 3}), test_rows_of_201),
+        ("surrogate_minimal", "eval.n_fresh", "output array",
+         lambda doc, n: doc["eval"].update(n_fresh=n), rows_of_101),
+        ("surrogate_minimal", r"data_curve.sizes\[1\]", "output array",
+         lambda doc, n: doc["data_curve"].update(sizes=[8, n]), rows_of_101),
+        ("fit_demo", "regression.n", "design matrix", lambda doc, n: doc["regression"].update(n=n), 2**27),
+        ("train_ann_demo", "regression.n", "activation",
+         lambda doc, n: doc.update(regression=dict(doc["regression"], n=n), ann={"layer_sizes": [1, 2**14, 1]}),
+         2**14),
     ):
-        doc = copy.deepcopy(base)
+        doc = json.loads((ROOT / "configs" / f"{source}.json").read_text())
         set_count(doc, limit)
         parse_config(doc)
         set_count(doc, limit + 1)
-        with pytest.raises(ConfigError, match=rf"^{path}: must be <= {limit},"):
+        with pytest.raises(ConfigError, match=rf"^{path}: a \d+ x \d+ {array} holds more than {2**28} floats$"):
             parse_config(doc)
+
+
+def test_every_budget_key_is_a_path_the_parser_accepts():
+    # The inventory names each array by the key that sizes it, as every other
+    # rejection names its key: each one, less a list index, is a key the parser reads.
+    doc = {}
+    for config in CONFIGS:
+        doc.update(json.loads(config.read_text()))
+    accepted = set(SECTIONS)
+    for key, (_, reader) in SECTIONS.items():
+        accepted |= {f"{key}.{name}" for name in getattr(reader, "readers", ())}
+    keys = {re.sub(r"\[\d+\]$", "", key) for key, *_ in _arrays(parse_config(doc))}
+    assert keys == {"n_nodes", "ann.layer_sizes", "arch.hidden", "arch_sweep", "space.n_samples",
+                    "eval.n_fresh", "data_curve.sizes", "regression.n"}
+    assert keys <= accepted
 
 
 def test_every_config_key_is_set_by_a_digested_config():
