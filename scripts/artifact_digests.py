@@ -4,11 +4,10 @@ Runs every config that `digest_configs` yields (`configs/*.json`,
 `perfbench/wide_datagen.json` and the variants below) through
 `poissonlab` into a temporary directory and prints one JSON object that
 maps each config to the SHA-256 of every file its manifest flags
-deterministic, plus a SHA-256 of the training loss history when the run
-trains a network (`train_report.json` itself holds wall times), of
-the architecture sweep's rows without their wall times, and of the
-candidate table's rows without their ledgers (timings and the verdicts
-that follow from them).
+deterministic (the loss history among them, as `loss.csv`), plus a
+SHA-256 of the architecture sweep's rows without their wall times and
+of the candidate table's rows without their ledgers (timings and the
+verdicts that follow from them).
 
 For each surrogate run it also digests the saved model's predictions
 on a fixed seeded block of 64 parameter rows drawn from the config's
@@ -134,10 +133,6 @@ def digest_run(config: dict, config_path: Path, out_dir: Path) -> dict:
         if entry["deterministic"]
     }
     run = {"command": command, "files": files}
-    train_report = out_dir / "train_report.json"
-    if train_report.exists():
-        history = json.loads(train_report.read_text(encoding="utf-8"))["loss_history"]
-        run["loss_history"] = sha256_json(history)
     sweep = out_dir / "arch_sweep.json"
     if sweep.exists():
         rows = json.loads(sweep.read_text(encoding="utf-8"))["rows"]

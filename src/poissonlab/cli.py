@@ -71,9 +71,15 @@ class _Artifacts:
         self.files.append((name, deterministic))
 
     def training(self, model, report) -> None:
-        """model.json, train_report.json and loss.csv."""
+        """model.json, train_report.json and loss.csv.
+
+        loss.csv is the one copy of the loss history and the manifest's
+        `timings.t_nt` the one copy of the wall time, so
+        train_report.json holds only how many epochs ran and why
+        training stopped, and is deterministic.
+        """
         self.json("model.json", model.to_dict())
-        self.json("train_report.json", report, deterministic=False)
+        self.json("train_report.json", {"epochs_run": report.epochs_run, "stop_reason": report.stop_reason})
         self.csv("loss.csv", ("epoch", "loss"), enumerate(report.loss_history, start=1))
 
 
@@ -102,7 +108,6 @@ def cmd_fit(cfg: ExperimentConfig, out: _Artifacts) -> dict:
     model = regress.fit_least_squares(dataset)
 
     out.csv("dataset.csv", ("x", "y"), zip(dataset.inputs, dataset.targets))
-    out.json("dataset.json", dataset.meta)
     out.json("model.json", {"w": model.w, "b": model.b})
     line_x = np.linspace(r.x_range[0], r.x_range[1], r.n)
     out.csv(
@@ -153,17 +158,6 @@ def cmd_surrogate(cfg: ExperimentConfig, out: _Artifacts) -> dict:
         ((*row.tolist(), tag) for row, tag in zip(dataset.inputs, dataset.split)),
     )
     out.csv("outputs.csv", tuple(f"y_{j}" for j in range(dataset.grid.shape[0])), dataset.outputs)
-    out.json(
-        "dataset.json",
-        {
-            "grid": dataset.grid,
-            "seeds": {"master_seed": cfg.space.master_seed, "split_seed": cfg.split_seed},
-            "sampling": cfg.space.sampling,
-            "n_samples": dataset.n_samples,
-            "n_nodes": cfg.n_nodes,
-            "split_counts": {tag: int(dataset.rows_for(tag).size) for tag in surrogate.SPLIT_TAGS},
-        },
-    )
     out.training(first.model, first.train_report)
     out.json("eval_report.json", eval_report)
     out.csv("extrapolation.csv", ("range_multiplier", "rmse"), eval_report.extrapolation_curve)

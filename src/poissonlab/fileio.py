@@ -8,7 +8,7 @@ reads the file in chunks of HASH_CHUNK_BYTES.
 
 JSON has no token for inf or NaN, so write_json writes each such value
 as null and lists where it was under a top-level "non_finite" key, for
-example ["loss_history[41]", "rmse_train"]; read_json puts NaN back there.
+example ["extrapolation_curve[3][1]", "rmse_train"]; read_json puts NaN back there.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 of every file a command wrote.
 
 Files flagged deterministic must hash identically across reruns with
-the same config; timing-bearing files (train report, cost ledger, the
-manifest itself) are expected to differ.
+the same config; timing-bearing files (cost ledger, candidate table,
+the manifest itself) are expected to differ.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ parameters give bit-identical datasets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +19,10 @@ from .linalg import pseudoinverse
 
 @dataclass(frozen=True)
 class RegressionDataset:
-    """Paired samples plus the provenance needed to regenerate them."""
+    """Paired samples: inputs and their targets."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=float))
@@ -77,13 +76,7 @@ def generate_synthetic(
     x = lo + (hi - lo) * rng.random(n)
     e = -noise_amplitude + 2.0 * noise_amplitude * rng.random(n)
     y = true_w * x + true_b + e
-    meta = {
-        "seed": int(seed),
-        "noise_amplitude": float(noise_amplitude),
-        "true_w": float(true_w),
-        "true_b": float(true_b),
-    }
-    return RegressionDataset(inputs=x, targets=y, meta=meta)
+    return RegressionDataset(inputs=x, targets=y)
 
 
 def build_design_matrix(dataset: RegressionDataset) -> np.ndarray:

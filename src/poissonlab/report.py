@@ -102,7 +102,7 @@ def _report(run_dir: Path) -> str:
         rows.append(("Q2", "data generation cost", "not measured"))
 
     if train_doc is not None:
-        t_nt = _fmt_seconds(train_doc["wall_time"])
+        t_nt = _fmt_seconds(manifest["timings"]["t_nt"])
         rows.append(("Q3", "training cost", f"T_nt = {t_nt} ({train_doc['epochs_run']} epochs)"))
     else:
         rows.append(("Q3", "training cost", "not measured"))

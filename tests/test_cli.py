@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 import poissonlab
 from poissonlab import ann, costs, pde, surrogate
-from poissonlab.cli import main
+from poissonlab.cli import _Artifacts, main
 from poissonlab.config import SECTIONS, load_config, override_seeds, parse_config
 from poissonlab.errors import ConfigError, ParameterError, ShapeError
 from poissonlab.fileio import read_json, sha256_file, write_json
 from poissonlab.manifest import machine_descriptor
+from poissonlab.report import _fmt_seconds
 
 SPACE = {
     "g_range": [0.0, 4.0],
@@ -474,8 +475,6 @@ def test_fit_artifacts(tmp_path):
     fit_line = (out / "fit_line.csv").read_text().splitlines()
     assert fit_line[0] == "x,y_true,y_fit"
     assert len(fit_line) == 1 + REGRESSION["n"]
-    meta = read_json(out / "dataset.json")
-    assert meta["seed"] == 1
 
 
 def test_report_on_fit_run_states_the_fitted_line(tmp_path, capsys):
@@ -495,7 +494,7 @@ def test_fit_seed_override_changes_dataset(tmp_path):
     assert main(["fit", "--config", str(path), "--out", str(out_a)]) == 0
     assert main(["fit", "--config", str(path), "--out", str(out_b), "--seed", "5"]) == 0
     assert read_json(out_a / "model.json") != read_json(out_b / "model.json")
-    assert read_json(out_b / "dataset.json")["seed"] == 5
+    assert read_json(out_b / "manifest.json")["config"]["regression"]["seed"] == 5
 
 
 # -- train-ann ---------------------------------------------------------
@@ -512,6 +511,28 @@ def test_train_ann_artifacts(tmp_path):
     loss_lines = (tmp_path / "loss.csv").read_text().splitlines()
     assert loss_lines[0] == "epoch,loss"
     assert len(loss_lines) == 1 + report["epochs_run"]
+
+
+def test_loss_csv_is_the_one_copy_of_the_loss_history(tmp_path):
+    history = [1.0, 5e-324, float("inf"), float("nan")]
+    report = ann.TrainReport(loss_history=history, epochs_run=4, stop_reason="diverged", wall_time=0.25)
+    out = _Artifacts(tmp_path)
+    out.training(ann.init_mlp([1, 1]), report)
+    written = np.loadtxt(tmp_path / "loss.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(written[:, 0], [1, 2, 3, 4])
+    np.testing.assert_array_equal(written[:, 1], history)
+    assert read_json(tmp_path / "train_report.json") == {"epochs_run": 4, "stop_reason": "diverged"}
+    assert ("train_report.json", True) in out.files
+
+
+def test_report_reads_the_training_time_from_the_manifest(tmp_path, capsys):
+    assert main(["train-ann", "--config", "configs/train_ann_demo.json", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--run", str(tmp_path)]) == 0
+    q3 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q3"))
+    t_nt = read_json(tmp_path / "manifest.json")["timings"]["t_nt"]
+    epochs = read_json(tmp_path / "train_report.json")["epochs_run"]
+    assert q3.endswith(f": T_nt = {_fmt_seconds(t_nt)} ({epochs} epochs)")
 
 
 # -- surrogate and report ----------------------------------------------
@@ -612,7 +633,6 @@ def test_surrogate_manifest_records_seeds(tmp_path):
         for name in getattr(reader, "seed_keys", ())
     }
     assert seed_keys == dict.fromkeys(["train.init_seed", "space.master_seed", "split.seed", "eval.seed"], 5)
-    assert read_json(out / "dataset.json")["seeds"] == {"master_seed": 5, "split_seed": 5}
 
 
 def test_machine_descriptor_starts_no_child_process():
@@ -697,6 +717,18 @@ def test_report_has_ten_question_rows(surrogate_run, capsys):
             rows[tag] = line.split(":", 1)[1].strip()
     assert set(rows) == {f"Q{i}" for i in range(1, 11)}
     assert all(rows.values())
+
+
+def test_report_reads_the_surrogate_training_time_from_the_manifest(surrogate_run, capsys):
+    assert main(["report", "--run", str(surrogate_run)]) == 0
+    q3 = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("Q3"))
+    t_nt = read_json(surrogate_run / "manifest.json")["timings"]["t_nt"]
+    first = read_json(surrogate_run / "candidates.json")["rows"][0]
+    assert q3.endswith(f": T_nt = {_fmt_seconds(t_nt)} ({first['epochs_run']} epochs)")
+    # train_report.json repeats the first candidate's row; the two must agree.
+    assert read_json(surrogate_run / "train_report.json") == {
+        "epochs_run": first["epochs_run"], "stop_reason": first["stop_reason"],
+    }
 
 
 def test_report_is_deterministic(surrogate_run, capsys):

@@ -35,7 +35,6 @@ def test_generation_is_deterministic():
     b = standard_dataset()
     npt.assert_array_equal(a.inputs, b.inputs)
     npt.assert_array_equal(a.targets, b.targets)
-    assert a.meta == b.meta
 
 
 def test_generation_respects_bounds():
@@ -136,7 +135,7 @@ def test_noiseless_recovery_exact():
 
 def test_shift_equivariance():
     ds = standard_dataset(seed=6)
-    shifted = RegressionDataset(inputs=ds.inputs, targets=ds.targets + 5.0, meta=ds.meta)
+    shifted = RegressionDataset(inputs=ds.inputs, targets=ds.targets + 5.0)
     base = fit_least_squares(ds)
     moved = fit_least_squares(shifted)
     assert moved.w == pytest.approx(base.w, abs=1e-10)
